@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Parity, epsilon, parity_filter
+from .model import epsilon
 
 __all__ = [
     "PROVENANCE_FORMULA",
@@ -84,32 +84,32 @@ def chi_prime(n: int) -> int:
     return 3 - epsilon(n)
 
 
+def _gap(n: int) -> range:
+    """forbidden_set(n) as a progression of step 2 ending at n-1 (n >= 5)."""
+    _check_n(n, 5)
+    if n % 2 == 1:
+        return range(4, n, 2)
+    half = n // 2
+    return range(half + 2 + epsilon(half), n, 2)
+
+
 def forbidden_set(n: int) -> set[int]:
     """Color counts in [chi', n] admitting no cyclic-mode coloring (n >= 5).
 
     Odd n: the even t in [4, n-1].  Even n: the odd t in [n/2+2+eps(n/2), n-1].
     """
-    _check_n(n, 5)
-    if n % 2 == 1:
-        return parity_filter(4, n - 1, Parity.EVEN)
-    half = n // 2
-    return parity_filter(half + 2 + epsilon(half), n - 1, Parity.ODD)
+    return set(_gap(n))
 
 
 def theta_cyclic(n: int) -> ThetaSet:
     """All color counts admitting a cyclic-mode coloring of the n-edge cycle."""
     _check_n(n)
     _check_cap(n)
-    if n == 3:
-        members: tuple[int, ...] = (3,)
-    elif n == 4:
-        members = (2, 3, 4)
-    elif n % 2 == 1:
+    if n % 2 == 1:
         members = tuple(range(3, n + 1, 2))
     else:
-        half = n // 2
-        upper = parity_filter(half + 3 - epsilon(half), n, Parity.EVEN)
-        members = tuple(sorted(set(range(2, half + 2)) | upper))
+        low = range(2, n // 2 + 2)
+        members = tuple(low) + tuple(range(low.stop + low.stop % 2, n + 1, 2))
     return ThetaSet(n, members, PROVENANCE_FORMULA)
 
 
@@ -136,9 +136,8 @@ def contains(n: int, t: int) -> bool:
 
 
 def bounds_cyc(n: int) -> tuple[int, int]:
-    """Minimum and maximum feasible color counts in cyclic mode."""
-    _check_n(n)
-    if n <= MATERIALIZE_CAP:
-        members = theta_cyclic(n).members
-        return (members[0], members[-1])
-    return (3 - epsilon(n), n)
+    """Least and greatest feasible color counts in cyclic mode, (chi'(n), n).
+
+    Constant time for every n >= 3: unlike theta_cyclic, no cap applies.
+    """
+    return (chi_prime(n), n)

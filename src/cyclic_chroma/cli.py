@@ -9,7 +9,6 @@ standard output; diagnostics go to standard error.
 from __future__ import annotations
 
 import json
-import re
 import sys
 
 import click
@@ -24,6 +23,7 @@ from .characterization import (
 from .constructor import Infeasible, construct
 from .model import CycleColoring
 from .oracle import (
+    _PLAIN_INT,
     SearchBoundExceeded,
     count_colorings,
     decompose as decompose_coloring,
@@ -31,8 +31,6 @@ from .oracle import (
     theta_by_search,
 )
 from .verifier import CYCLIC, INTERVAL, verify
-
-_PLAIN_INT = re.compile(r"^(0|[1-9][0-9]*)$")
 
 
 class PlainIntType(click.ParamType):
@@ -229,9 +227,11 @@ def oracle(
     rows: list[dict] = []
     try:
         for t in range(tmin, tmax + 1):
-            row: dict = {"t": t, "exists": exists_search(n, t, mode)}
             if with_count:
-                row["count"] = count_colorings(n, t, mode)
+                count = count_colorings(n, t, mode)
+                row: dict = {"t": t, "exists": count > 0, "count": count}
+            else:
+                row = {"t": t, "exists": exists_search(n, t, mode)}
             if check_formula:
                 row["formula"] = (
                     contains(n, t) if mode == CYCLIC else t in interval_members

@@ -12,7 +12,7 @@ Two canonical patterns cover the whole feasibility region:
 
 from __future__ import annotations
 
-from .characterization import chi_prime, contains, forbidden_set
+from .characterization import _check_n, _gap, chi_prime, contains
 from .model import CycleColoring
 
 __all__ = [
@@ -44,11 +44,6 @@ class Infeasible(Exception):
         self.t = t
         self.reason = reason
         self.message = message
-
-
-def _check_n(n: int) -> None:
-    if n < 3:
-        raise ValueError(f"cycle size must be >= 3, got {n}")
 
 
 def zigzag_staircase(n: int, t: int) -> CycleColoring:
@@ -102,9 +97,11 @@ def construct(n: int, t: int) -> CycleColoring:
             raise Infeasible(
                 n, t, REASON_RANGE, f"t={t} outside [{chi},{n}] for C({n})"
             )
-        gap = ",".join(str(x) for x in sorted(forbidden_set(n)))
+        gap = _gap(n)
+        members = gap if len(gap) <= 3 else (gap[0], gap[1], "...", gap[-1])
+        shown = ",".join(map(str, members))
         raise Infeasible(
-            n, t, REASON_FORBIDDEN, f"t={t} in forbidden set {{{gap}}} of C({n})"
+            n, t, REASON_FORBIDDEN, f"t={t} in forbidden set {{{shown}}} of C({n})"
         )
     if (n - t) % 2 == 0:
         return zigzag_staircase(n, t)

@@ -102,7 +102,7 @@ def sgn_nat(k: int) -> int:
 
 def parity_filter(lo: int, hi: int, p: Parity) -> set[int]:
     """Integers in [lo, hi] with parity p; empty when lo > hi."""
-    return {x for x in range(lo, hi + 1) if x % 2 == p}
+    return set(range(lo + (lo - p) % 2, hi + 1, 2))
 
 
 def rotate_edges(c: CycleColoring, offset: int) -> CycleColoring:

@@ -15,9 +15,9 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
-from .characterization import PROVENANCE_SEARCH, ThetaSet
+from .characterization import PROVENANCE_SEARCH, ThetaSet, _check_n
 from .model import CycleColoring, rotate_edges, sgn_nat
-from .verifier import CYCLIC, MODES, u_set, verify
+from .verifier import CYCLIC, _check_mode, _steps, u_set, verify
 
 __all__ = [
     "DEFAULT_MAX_N",
@@ -66,31 +66,22 @@ class SearchConfig:
     fix_first_color: bool = False
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        _check_mode(self.mode)
         if self.limit is not None and self.limit < 1:
             raise ValueError(f"limit must be >= 1 when given, got {self.limit}")
         if self.fix_first_color and self.mode != CYCLIC:
             raise ValueError("fix_first_color is only sound in cyclic mode")
 
 
-def _successor_table(t: int, mode: str) -> tuple[tuple[int, ...], ...]:
-    """succ[c] lists the colors allowed next to c, ascending; index 0 unused."""
-    succ: list[tuple[int, ...]] = [()]
-    for c in range(1, t + 1):
-        if mode == CYCLIC:
-            nbrs = {t if c == 1 else c - 1, 1 if c == t else c + 1} - {c}
-        else:
-            nbrs = {x for x in (c - 1, c + 1) if 1 <= x <= t}
-        succ.append(tuple(sorted(nbrs)))
-    return tuple(succ)
+def _successor_table(t: int, mode: str) -> list[list[int]]:
+    """succ[a] lists the colors allowed next to a, ascending; index 0 unused."""
+    steps = _steps(t, mode)
+    colors = range(1, t + 1)
+    return [[]] + [[b for b in colors if b != a and b - a in steps] for a in colors]
 
 
-def _check_search_args(n: int, t: int, mode: str) -> None:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if n < 3:
-        raise ValueError(f"cycle size must be >= 3, got {n}")
+def _check_search_args(n: int, t: int) -> None:
+    _check_n(n)
     bound = search_bound()
     if n > bound:
         raise SearchBoundExceeded(
@@ -101,9 +92,9 @@ def _check_search_args(n: int, t: int, mode: str) -> None:
         raise ValueError(f"color count must lie in [1, {n}], got t={t}")
 
 
-def _walks(n: int, t: int, mode: str, fix_first_color: bool) -> Iterator[tuple[int, ...]]:
+def _walks(n: int, t: int, cfg: SearchConfig) -> Iterator[tuple[int, ...]]:
     """Yield valid color sequences in lexicographic order."""
-    succ = _successor_table(t, mode)
+    succ = _successor_table(t, cfg.mode)
     seq = [0] * n
     seen = [0] * (t + 1)
 
@@ -120,7 +111,7 @@ def _walks(n: int, t: int, mode: str, fix_first_color: bool) -> Iterator[tuple[i
             yield from extend(k + 1, missing - (seen[c] == 1))
             seen[c] -= 1
 
-    for first in (1,) if fix_first_color else range(1, t + 1):
+    for first in (1,) if cfg.fix_first_color else range(1, t + 1):
         seq[0] = first
         seen[first] = 1
         yield from extend(1, t - 1)
@@ -131,10 +122,9 @@ def exists_search(
     n: int, t: int, mode: str = CYCLIC, fix_first_color: bool = False
 ) -> bool:
     """True when some valid coloring of (n, t) exists, by exhaustive search."""
-    if fix_first_color and mode != CYCLIC:
-        raise ValueError("fix_first_color is only sound in cyclic mode")
-    _check_search_args(n, t, mode)
-    return next(_walks(n, t, mode, fix_first_color), None) is not None
+    cfg = SearchConfig(mode=mode, fix_first_color=fix_first_color)
+    _check_search_args(n, t)
+    return next(_walks(n, t, cfg), None) is not None
 
 
 def enumerate_colorings(
@@ -142,9 +132,9 @@ def enumerate_colorings(
 ) -> list[CycleColoring]:
     """All valid colorings in lexicographic order, truncated at config.limit."""
     cfg = config if config is not None else SearchConfig()
-    _check_search_args(n, t, cfg.mode)
+    _check_search_args(n, t)
     out: list[CycleColoring] = []
-    for colors in _walks(n, t, cfg.mode, cfg.fix_first_color):
+    for colors in _walks(n, t, cfg):
         out.append(CycleColoring(n, t, colors))
         if cfg.limit is not None and len(out) >= cfg.limit:
             break
@@ -153,17 +143,17 @@ def enumerate_colorings(
 
 def count_colorings(n: int, t: int, mode: str = CYCLIC) -> int:
     """Total number of valid colorings; never applies symmetry fixing."""
-    _check_search_args(n, t, mode)
-    return sum(1 for _ in _walks(n, t, mode, False))
+    cfg = SearchConfig(mode=mode)
+    _check_search_args(n, t)
+    return sum(1 for _ in _walks(n, t, cfg))
 
 
 def theta_by_search(n: int, mode: str = CYCLIC) -> ThetaSet:
     """Feasible color counts found by exhaustive search over t in [1, n]."""
-    _check_search_args(n, 1, mode)
+    cfg = SearchConfig(mode=mode)
+    _check_search_args(n, 1)
     members = tuple(
-        t
-        for t in range(1, n + 1)
-        if next(_walks(n, t, mode, False), None) is not None
+        t for t in range(1, n + 1) if next(_walks(n, t, cfg), None) is not None
     )
     return ThetaSet(n, members, PROVENANCE_SEARCH)
 
@@ -211,9 +201,12 @@ class ProofDecomposition:
 
     def __post_init__(self) -> None:
         if not self.connected:
-            assert len(self.psi) == 2 * self.m
-            assert sum(self.psi) == self.n + 2 * self.m
-            assert sum(1 for h in self.horizontal if not h) % 2 == 0
+            if len(self.psi) != 2 * self.m:
+                raise ValueError(f"psi must have 2m = {2 * self.m} entries")
+            if sum(self.psi) != self.n + 2 * self.m:
+                raise ValueError(f"psi must sum to n + 2m = {self.n + 2 * self.m}")
+            if sum(1 for h in self.horizontal if not h) % 2:
+                raise ValueError("non-horizontal edges must be even in number")
 
     @property
     def psi_sum(self) -> int:

@@ -90,24 +90,26 @@ def is_surjective(c: CycleColoring) -> bool:
     return len(set(c.colors)) == c.t
 
 
-def _complement_is_interval(a: int, b: int, t: int) -> bool:
-    rest = [x for x in range(1, t + 1) if x != a and x != b]
-    return bool(rest) and rest[-1] - rest[0] + 1 == len(rest)
+def _steps(t: int, mode: str) -> frozenset[int]:
+    """Allowed differences b - a between the two colors a, b at a vertex.
+
+    Interval mode: consecutive integers, {+1, -1}.  Cyclic mode: consecutive
+    on the color circle 1..t, which adds the wrap {+(t-1), -(t-1)}.  Equal
+    colors are not proper; callers rule them out first.
+    """
+    if mode == INTERVAL:
+        return frozenset((1, -1))
+    return frozenset((1, -1, t - 1, 1 - t))
 
 
 def palette_cyclically_ok(pair: tuple[int, int], t: int) -> bool:
-    """True when two distinct colors are consecutive, or are exactly 1 and t.
-
-    The fast test is the degree-2 reduction of the defining rule (the pair,
-    or the rest of [1, t] after removing it, is a block of consecutive
-    integers); the assertion keeps the two in lockstep.
-    """
+    """True when two distinct colors in [1, t] are consecutive, or are 1 and t."""
     a, b = pair
     if a == b:
         raise ValueError("palette with a repeated color is never admissible")
-    ok = abs(a - b) == 1 or (a == 1 and b == t) or (a == t and b == 1)
-    assert ok == (abs(a - b) == 1 or _complement_is_interval(a, b, t))
-    return ok
+    if not (1 <= a <= t and 1 <= b <= t):
+        raise ValueError(f"palette colors must lie in [1, {t}], got {pair}")
+    return b - a in _steps(t, CYCLIC)
 
 
 def verify(c: CycleColoring, mode: str = CYCLIC) -> VerificationReport:
@@ -120,20 +122,16 @@ def verify(c: CycleColoring, mode: str = CYCLIC) -> VerificationReport:
     n, t, colors = c.n, c.t, c.colors
     violations: list[Violation] = []
     proper = True
-    interval_mode = mode == INTERVAL
+    steps = _steps(t, mode)
+    reason = NOT_INTERVAL if mode == INTERVAL else NOT_CYCLIC_INTERVAL
     prev = colors[-1]
     for i in range(n):
         cur = colors[i]
         if cur == prev:
             proper = False
             violations.append(Violation(i + 1, (prev, cur), NOT_PROPER))
-        elif interval_mode:
-            if abs(cur - prev) != 1:
-                violations.append(Violation(i + 1, (prev, cur), NOT_INTERVAL))
-        elif abs(cur - prev) != 1 and not (
-            (prev == 1 and cur == t) or (prev == t and cur == 1)
-        ):
-            violations.append(Violation(i + 1, (prev, cur), NOT_CYCLIC_INTERVAL))
+        elif cur - prev not in steps:
+            violations.append(Violation(i + 1, (prev, cur), reason))
         prev = cur
     missing = frozenset(range(1, t + 1)) - frozenset(colors)
     return VerificationReport(

@@ -77,6 +77,15 @@ class TestConstruct:
         assert exc.value.reason == REASON_FORBIDDEN
         assert "forbidden set {5} of C(6)" in exc.value.message
 
+    def test_long_forbidden_set_is_elided(self):
+        with pytest.raises(Infeasible) as exc:
+            construct(15, 8)
+        assert exc.value.message == "t=8 in forbidden set {4,6,...,14} of C(15)"
+        with pytest.raises(Infeasible) as exc:
+            construct(10**7, 10**7 - 1)
+        assert exc.value.reason == REASON_FORBIDDEN
+        assert len(exc.value.message) < 200
+
     def test_out_of_range(self):
         with pytest.raises(Infeasible) as exc:
             construct(6, 1)

@@ -1,11 +1,12 @@
 import pytest
 
-from naive_oracle import count_naive, enumerate_naive
+from naive_oracle import count_naive, enumerate_naive, vertex_ok
 
 from cyclic_chroma import (
     CYCLIC,
     INTERVAL,
     CycleColoring,
+    ProofDecomposition,
     SearchBoundExceeded,
     SearchConfig,
     contains,
@@ -18,6 +19,7 @@ from cyclic_chroma import (
     search_bound,
     theta_by_search,
 )
+from cyclic_chroma.oracle import _successor_table
 
 
 class TestExistsSearch:
@@ -138,6 +140,18 @@ class TestEnumerate:
                         ), (c.colors, i)
 
 
+class TestSuccessorTable:
+    def test_matches_naive_vertex_rule(self):
+        for t in range(1, 51):
+            for mode in (CYCLIC, INTERVAL):
+                succ = _successor_table(t, mode)
+                for a in range(1, t + 1):
+                    expected = [
+                        b for b in range(1, t + 1) if b != a and vertex_ok(a, b, t, mode)
+                    ]
+                    assert succ[a] == expected, (t, mode, a)
+
+
 class TestSearchConfig:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
@@ -198,6 +212,24 @@ class TestDecompose:
     def test_single_run_wrapping_the_seam(self):
         d = decompose(CycleColoring(4, 4, (1, 2, 3, 4)))
         assert d.connected and d.m == 1 and d.u_size == 2
+
+    def test_broken_invariants_rejected(self):
+        # psi sums to 4, not n + 2m = 11; the check must survive python -O
+        with pytest.raises(ValueError):
+            ProofDecomposition(
+                n=7,
+                t=5,
+                m=2,
+                connected=False,
+                u_size=4,
+                rotation=0,
+                components=(),
+                y=(0, 0, 1, 0),
+                psi=(1, 1, 1, 1),
+                horizontal=(True, False, False, True),
+                m1=frozenset(),
+                m2=frozenset(),
+            )
 
     def test_invalid_coloring_rejected(self):
         with pytest.raises(ValueError):

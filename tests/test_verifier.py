@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import naive_oracle
+
 from cyclic_chroma import (
     CYCLIC,
     INTERVAL,
@@ -90,6 +92,11 @@ class TestPaletteCyclicallyOk:
     def test_repeated_color_rejected(self):
         with pytest.raises(ValueError):
             palette_cyclically_ok((2, 2), 4)
+
+    def test_color_outside_palette_rejected(self):
+        # the difference 0 - 3 is -(t-1), but 0 is no color of [1, 4]
+        with pytest.raises(ValueError):
+            palette_cyclically_ok((0, 3), 4)
 
     def test_degree_two_equivalence_exhaustive(self):
         # the function must match the literal rule: the pair or its complement
@@ -181,6 +188,13 @@ class TestVerify:
             assert bool(rep.missing_colors) == (not rep.surjective)
             assert rep.proper == is_proper(c)
             assert rep.surjective == is_surjective(c)
+
+    @given(colorings_st)
+    def test_agrees_with_naive_oracle(self, c):
+        for mode in (INTERVAL, CYCLIC):
+            assert verify(c, mode).mode_satisfied == naive_oracle.valid(
+                c.colors, c.t, mode
+            )
 
     @given(colorings_st)
     def test_interval_implies_cyclic(self, c):
