@@ -13,7 +13,9 @@ a parity-filtered gap just below n where no coloring closes up.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 
 from .model import epsilon
 
@@ -40,7 +42,13 @@ MATERIALIZE_CAP = 10**6
 
 @dataclass(frozen=True)
 class ThetaSet:
-    """A finite set of feasible color counts for one cycle size."""
+    """A finite set of feasible color counts for one cycle size.
+
+    Building one is O(len(members)): one built by hand has every member
+    checked, while the closed forms check only the ranges they are made of.
+    ``in`` is a binary search, O(log n); iteration and ``len`` are those of
+    the ``members`` tuple.
+    """
 
     n: int
     members: tuple[int, ...]
@@ -48,21 +56,58 @@ class ThetaSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "members", tuple(self.members))
-        if self.provenance not in (PROVENANCE_FORMULA, PROVENANCE_SEARCH):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
+        _check_provenance(self.provenance)
         if any(b <= a for a, b in zip(self.members, self.members[1:])):
             raise ValueError("members must be strictly increasing")
-        if self.members and not (2 <= self.members[0] and self.members[-1] <= self.n):
-            raise ValueError(f"members must lie in [2, {self.n}]")
+        if self.members:
+            _check_span(self.n, self.members[0], self.members[-1])
+
+    @classmethod
+    def _of_ranges(cls, n: int, provenance: str, *parts: range) -> ThetaSet:
+        """The union of ascending ranges, each above the one before it.
+
+        Checks the ranges, not their members, so the only O(len) work is
+        building the tuple.
+        """
+        _check_provenance(provenance)
+        if any(r.step <= 0 for r in parts):
+            raise ValueError("members must be strictly increasing")
+        parts = tuple(r for r in parts if r)
+        if any(a[-1] >= b[0] for a, b in zip(parts, parts[1:])):
+            raise ValueError("members must be strictly increasing")
+        if parts:
+            _check_span(n, parts[0][0], parts[-1][-1])
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "members", tuple(chain(*parts)))
+        object.__setattr__(self, "provenance", provenance)
+        return self
 
     def __contains__(self, t: object) -> bool:
-        return t in self.members
+        members = self.members
+        try:
+            i = bisect_left(members, t)
+        except (TypeError, ArithmeticError):
+            # t does not order against int (a str, a Decimal NaN): keep the
+            # tuple's own equality test
+            return t in members
+        return i < len(members) and members[i] == t
 
     def __iter__(self):
         return iter(self.members)
 
     def __len__(self) -> int:
         return len(self.members)
+
+
+def _check_provenance(provenance: str) -> None:
+    if provenance not in (PROVENANCE_FORMULA, PROVENANCE_SEARCH):
+        raise ValueError(f"unknown provenance {provenance!r}")
+
+
+def _check_span(n: int, least: int, greatest: int) -> None:
+    if not (2 <= least and greatest <= n):
+        raise ValueError(f"members must lie in [2, {n}]")
 
 
 def _check_n(n: int, least: int = 3) -> None:
@@ -106,11 +151,10 @@ def theta_cyclic(n: int) -> ThetaSet:
     _check_n(n)
     _check_cap(n)
     if n % 2 == 1:
-        members = tuple(range(3, n + 1, 2))
-    else:
-        low = range(2, n // 2 + 2)
-        members = tuple(low) + tuple(range(low.stop + low.stop % 2, n + 1, 2))
-    return ThetaSet(n, members, PROVENANCE_FORMULA)
+        return ThetaSet._of_ranges(n, PROVENANCE_FORMULA, range(3, n + 1, 2))
+    low = range(2, n // 2 + 2)
+    high = range(low.stop + low.stop % 2, n + 1, 2)
+    return ThetaSet._of_ranges(n, PROVENANCE_FORMULA, low, high)
 
 
 def theta_interval(n: int) -> ThetaSet:
@@ -121,8 +165,8 @@ def theta_interval(n: int) -> ThetaSet:
     """
     _check_n(n)
     _check_cap(n)
-    members = tuple(range(2, n // 2 + 2)) if n % 2 == 0 else ()
-    return ThetaSet(n, members, PROVENANCE_FORMULA)
+    parts = (range(2, n // 2 + 2),) if n % 2 == 0 else ()
+    return ThetaSet._of_ranges(n, PROVENANCE_FORMULA, *parts)
 
 
 def contains(n: int, t: int) -> bool:

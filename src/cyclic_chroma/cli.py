@@ -13,6 +13,7 @@ import sys
 
 import click
 
+from . import __version__
 from .characterization import (
     chi_prime,
     contains,
@@ -108,6 +109,7 @@ def _echo_violations(report) -> None:
 
 
 @click.group()
+@click.version_option(__version__, prog_name="cyclic-chroma")
 def main() -> None:
     """Interval-like edge colorings of simple cycles: closed formulas,
     canonical witnesses, verification, and an exhaustive-search oracle."""

@@ -97,25 +97,33 @@ def _walks(n: int, t: int, cfg: SearchConfig) -> Iterator[tuple[int, ...]]:
     succ = _successor_table(t, cfg.mode)
     seq = [0] * n
     seen = [0] * (t + 1)
-
-    def extend(k: int, missing: int) -> Iterator[tuple[int, ...]]:
-        if k == n:
-            if missing == 0 and seq[0] in succ[seq[-1]]:
-                yield tuple(seq)
-            return
-        if missing > n - k:
-            return
-        for c in succ[seq[k - 1]]:
-            seq[k] = c
-            seen[c] += 1
-            yield from extend(k + 1, missing - (seen[c] == 1))
-            seen[c] -= 1
-
     for first in (1,) if cfg.fix_first_color else range(1, t + 1):
         seq[0] = first
         seen[first] = 1
-        yield from extend(1, t - 1)
+        yield from _extend(succ, seq, seen, 1, t - 1)
         seen[first] = 0
+
+
+def _extend(
+    succ: list[list[int]], seq: list[int], seen: list[int], k: int, missing: int
+) -> Iterator[tuple[int, ...]]:
+    """Fill seq[k:] after seq[:k]; ``missing`` colors are still unused.
+
+    A plain recursive generator, so an abandoned walk holds no reference
+    cycle and is freed as soon as its last reference goes.
+    """
+    n = len(seq)
+    if k == n:
+        if missing == 0 and seq[0] in succ[seq[-1]]:
+            yield tuple(seq)
+        return
+    if missing > n - k:
+        return
+    for c in succ[seq[k - 1]]:
+        seq[k] = c
+        seen[c] += 1
+        yield from _extend(succ, seq, seen, k + 1, missing - (seen[c] == 1))
+        seen[c] -= 1
 
 
 def exists_search(

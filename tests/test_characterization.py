@@ -211,3 +211,36 @@ class TestThetaSet:
         assert 4 in ts and 5 not in ts
         assert list(ts) == [2, 3, 4, 6]
         assert len(ts) == 4
+
+    def test_membership_matches_contains(self):
+        for n in range(3, 61):
+            cyc, itv = theta_cyclic(n), theta_interval(n)
+            for t in range(0, n + 2):
+                assert (t in cyc) == contains(n, t), (n, t)
+                assert (t in itv) == (t in itv.members), (n, t)
+        assert 2.0 in theta_cyclic(6)
+        assert "3" not in theta_cyclic(6)
+
+    def test_ranges_checked_like_members(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ThetaSet._of_ranges(6, "formula", range(2, 5), range(4, 7))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ThetaSet._of_ranges(6, "formula", range(6, 1, -2))
+        with pytest.raises(ValueError, match=r"lie in \[2, 6\]"):
+            ThetaSet._of_ranges(6, "formula", range(1, 4))
+        with pytest.raises(ValueError, match=r"lie in \[2, 6\]"):
+            ThetaSet._of_ranges(6, "formula", range(2, 4), range(6, 9, 2))
+        with pytest.raises(ValueError, match="unknown provenance"):
+            ThetaSet._of_ranges(6, "guess", range(2, 4))
+        built = ThetaSet._of_ranges(8, "formula", range(2, 6), range(5, 5), range(6, 9, 2))
+        assert built == ThetaSet(8, (2, 3, 4, 5, 6, 8), "formula")
+
+    def test_formula_sets_at_the_cap(self):
+        for n in (MATERIALIZE_CAP - 2, MATERIALIZE_CAP - 1, MATERIALIZE_CAP):
+            members = theta_cyclic(n).members
+            gap = forbidden_set(n)
+            expected = [t for t in range(chi_prime(n), n + 1) if t not in gap]
+            assert list(members) == expected, n
+            assert theta_interval(n).members == (
+                members[: n // 2] if n % 2 == 0 else ()
+            ), n

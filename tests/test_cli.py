@@ -1,4 +1,6 @@
+import importlib.metadata
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -7,6 +9,7 @@ from click.testing import CliRunner
 from cyclic_chroma.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "table8.csv"
+PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
 
 
 @pytest.fixture
@@ -278,3 +281,15 @@ class TestNumericParsing:
     def test_plain_zero_parses_but_fails_range(self, runner):
         result = runner.invoke(main, ["theta", "0"])
         assert result.exit_code == 2
+
+
+class TestVersion:
+    def test_matches_pyproject(self, runner, monkeypatch):
+        def no_lookup(name):
+            raise AssertionError(f"looked up the version of {name!r}")
+
+        monkeypatch.setattr(importlib.metadata, "version", no_lookup)
+        declared = re.search(r'^version = "([^"]+)"$', PYPROJECT.read_text(), re.M)
+        result = runner.invoke(main, ["--version"])
+        assert result.exit_code == 0
+        assert result.output == f"cyclic-chroma, version {declared.group(1)}\n"

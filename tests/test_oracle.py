@@ -1,6 +1,9 @@
+import gc
+
 import pytest
 
 from naive_oracle import count_naive, enumerate_naive, vertex_ok
+from walk_count import walk_counts
 
 from cyclic_chroma import (
     CYCLIC,
@@ -18,8 +21,9 @@ from cyclic_chroma import (
     rotate_edges,
     search_bound,
     theta_by_search,
+    theta_interval,
 )
-from cyclic_chroma.oracle import _successor_table
+from cyclic_chroma.oracle import _successor_table, _walks
 
 
 class TestExistsSearch:
@@ -138,6 +142,36 @@ class TestEnumerate:
                         assert palette_cyclically_ok(
                             (c.colors[i - 1], c.colors[i]), t
                         ), (c.colors, i)
+
+
+class TestAgainstWalkCount:
+    def test_counts_match_search(self):
+        for n in range(3, 15):
+            for mode in (CYCLIC, INTERVAL):
+                got = [count_colorings(n, t, mode) for t in range(1, n + 1)]
+                assert walk_counts(n, mode)[1:] == got, (n, mode)
+
+    def test_existence_matches_formulas(self):
+        for n in range(3, 121):
+            cyc, itv = walk_counts(n, CYCLIC), walk_counts(n, INTERVAL)
+            assert min(cyc + itv) >= 0, n
+            for t in range(1, n + 1):
+                assert (cyc[t] > 0) == contains(n, t), (n, t)
+                assert (itv[t] > 0) == (t in theta_interval(n)), (n, t)
+
+
+class TestWalkCleanup:
+    def test_abandoned_walks_leave_no_cycles(self):
+        gc.collect()
+        gc.disable()
+        try:
+            walks = [_walks(14, t, SearchConfig()) for t in range(1, 15)]
+            for w in walks:
+                next(w, None)
+            del walks, w
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSuccessorTable:
