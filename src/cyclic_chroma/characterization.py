@@ -35,8 +35,8 @@ __all__ = [
 PROVENANCE_FORMULA = "formula"
 PROVENANCE_SEARCH = "search"
 
-# Feasible sets are materialized only up to this cycle size; use contains()
-# for membership queries beyond it.
+# Feasible sets and witnesses are materialized only up to this cycle size;
+# use contains() for membership queries beyond it.
 MATERIALIZE_CAP = 10**6
 
 
@@ -115,10 +115,10 @@ def _check_n(n: int, least: int = 3) -> None:
         raise ValueError(f"cycle size must be >= {least}, got {n}")
 
 
-def _check_cap(n: int) -> None:
+def _check_cap(n: int, what: str) -> None:
     if n > MATERIALIZE_CAP:
         raise ValueError(
-            f"refusing to materialize a feasible set for n={n} "
+            f"refusing to materialize {what} for n={n} "
             f"(cap {MATERIALIZE_CAP}); use contains() for membership"
         )
 
@@ -149,7 +149,7 @@ def forbidden_set(n: int) -> set[int]:
 def theta_cyclic(n: int) -> ThetaSet:
     """All color counts admitting a cyclic-mode coloring of the n-edge cycle."""
     _check_n(n)
-    _check_cap(n)
+    _check_cap(n, "a feasible set")
     if n % 2 == 1:
         return ThetaSet._of_ranges(n, PROVENANCE_FORMULA, range(3, n + 1, 2))
     low = range(2, n // 2 + 2)
@@ -164,7 +164,7 @@ def theta_interval(n: int) -> ThetaSet:
     forces edge colors to alternate parity around the cycle.
     """
     _check_n(n)
-    _check_cap(n)
+    _check_cap(n, "a feasible set")
     parts = (range(2, n // 2 + 2),) if n % 2 == 0 else ()
     return ThetaSet._of_ranges(n, PROVENANCE_FORMULA, *parts)
 

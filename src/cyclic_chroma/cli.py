@@ -177,6 +177,9 @@ def make(n: int, t: int, as_json: bool) -> None:
         else:
             click.echo(f"infeasible: {exc.message}")
         sys.exit(1)
+    except ValueError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
     click.echo(_dumps(coloring.to_record()))
 
 
@@ -355,15 +358,18 @@ def table(nmax: int, oracle_upto: int | None, fmt: str, as_json: bool) -> None:
 def decompose(src: str | None, as_json: bool) -> None:
     """Structure report for a valid coloring: boundary runs, gaps, size identity."""
     coloring = _read_coloring(src)
-    report = verify(coloring, CYCLIC)
-    if not report.mode_satisfied:
+    try:
+        d = decompose_coloring(coloring)
+    except ValueError:
+        # decompose refuses exactly the colorings that fail cyclic verify;
+        # verify again only to report why
+        report = verify(coloring, CYCLIC)
         if as_json:
             click.echo(_dumps(report.to_json_dict()))
         else:
             click.echo("not a valid cyclic-mode coloring:")
             _echo_violations(report)
         sys.exit(1)
-    d = decompose_coloring(coloring)
     if as_json:
         click.echo(_dumps(d.to_json_dict()))
         return

@@ -12,7 +12,7 @@ Two canonical patterns cover the whole feasibility region:
 
 from __future__ import annotations
 
-from .characterization import _check_n, _gap, chi_prime, contains
+from .characterization import _check_cap, _check_n, _gap, chi_prime, contains
 from .model import CycleColoring
 
 __all__ = [
@@ -49,7 +49,8 @@ class Infeasible(Exception):
 def zigzag_staircase(n: int, t: int) -> CycleColoring:
     """Alternating (1,2) prefix of length n-t, then the ascent 1..t.
 
-    Requires chi'(n) <= t <= n with n-t even.
+    Requires chi'(n) <= t <= n with n-t even; refuses n above
+    MATERIALIZE_CAP with ValueError.
     """
     _check_n(n)
     chi = chi_prime(n)
@@ -60,6 +61,7 @@ def zigzag_staircase(n: int, t: int) -> CycleColoring:
             REASON_PATTERN,
             f"zigzag-staircase needs {chi} <= t <= {n} with n-t even, got t={t}",
         )
+    _check_cap(n, "a witness")
     pad = (n - t) // 2
     return CycleColoring(n, t, (1, 2) * pad + tuple(range(1, t + 1)))
 
@@ -68,6 +70,7 @@ def tent(n: int, t: int) -> CycleColoring:
     """Ascent 1..t, descent t-1..2, then alternating (1,2) padding.
 
     Requires even n and 2 <= t <= n/2+1; the result is interval-valid.
+    Refuses n above MATERIALIZE_CAP with ValueError.
     """
     _check_n(n)
     if n % 2 != 0 or not (2 <= t <= n // 2 + 1):
@@ -77,6 +80,7 @@ def tent(n: int, t: int) -> CycleColoring:
             REASON_PATTERN,
             f"tent needs even n and 2 <= t <= n/2+1, got n={n}, t={t}",
         )
+    _check_cap(n, "a witness")
     pad = (n - (2 * t - 2)) // 2
     ascent = tuple(range(1, t + 1))
     descent = tuple(range(t - 1, 1, -1))
@@ -88,7 +92,8 @@ def construct(n: int, t: int) -> CycleColoring:
 
     Equal parity of n and t selects the zigzag-staircase (this covers every
     even t for even n), otherwise the tent.  Pure and deterministic: the same
-    input always yields the identical coloring.
+    input always yields the identical coloring.  A feasible n above
+    MATERIALIZE_CAP is refused with ValueError, after the Infeasible checks.
     """
     _check_n(n)
     if not contains(n, t):

@@ -13,11 +13,13 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import compress, count, repeat
+from operator import add, eq, ne, sub
+from typing import Iterator, NamedTuple
 
 from .characterization import PROVENANCE_SEARCH, ThetaSet, _check_n
-from .model import CycleColoring, rotate_edges, sgn_nat
-from .verifier import CYCLIC, _check_mode, _steps, u_set, verify
+from .model import CycleColoring
+from .verifier import CYCLIC, _check_mode, _new_tuple, _steps, verify
 
 __all__ = [
     "DEFAULT_MAX_N",
@@ -166,8 +168,7 @@ def theta_by_search(n: int, mode: str = CYCLIC) -> ThetaSet:
     return ThetaSet(n, members, PROVENANCE_SEARCH)
 
 
-@dataclass(frozen=True)
-class ComponentSpan:
+class ComponentSpan(NamedTuple):
     """One maximal run of boundary-colored edges, with its following gap.
 
     ``h_prime_size`` counts the gap edges plus the single boundary edge kept
@@ -213,7 +214,7 @@ class ProofDecomposition:
                 raise ValueError(f"psi must have 2m = {2 * self.m} entries")
             if sum(self.psi) != self.n + 2 * self.m:
                 raise ValueError(f"psi must sum to n + 2m = {self.n + 2 * self.m}")
-            if sum(1 for h in self.horizontal if not h) % 2:
+            if self.horizontal.count(False) % 2:
                 raise ValueError("non-horizontal edges must be even in number")
 
     @property
@@ -229,16 +230,7 @@ class ProofDecomposition:
             "connected": self.connected,
             "u_size": self.u_size,
             "rotation": self.rotation,
-            "components": [
-                {
-                    "index": s.index,
-                    "zeta": s.zeta,
-                    "eta": s.eta,
-                    "h_size": s.h_size,
-                    "h_prime_size": s.h_prime_size,
-                }
-                for s in self.components
-            ],
+            "components": [s._asdict() for s in self.components],
             "y": list(self.y),
             "psi": list(self.psi),
             "horizontal": list(self.horizontal),
@@ -253,24 +245,28 @@ class ProofDecomposition:
 def decompose(c: CycleColoring) -> ProofDecomposition:
     """Split a valid cyclic-mode coloring into boundary runs and gaps.
 
-    The coloring is rotated internally so that edge 1 starts the first run
-    and edge n carries an interior color; ``rotation`` records the offset
-    used.  Raises ValueError when the coloring is not cyclic-mode valid.
+    Edges are numbered as if the coloring were rotated so that edge 1
+    starts the first run and edge n carries an interior color; ``rotation``
+    records the offset.  Raises ValueError when the coloring is not
+    cyclic-mode valid.  The per-edge work is done in C-level passes over a
+    byte string that marks the boundary edges; Python objects are made per
+    run, not per edge.
     """
     if not verify(c, CYCLIC).mode_satisfied:
         raise ValueError("decompose requires a valid cyclic-mode coloring")
-    n, t = c.n, c.t
-    interior = u_set(c)
-    kept = [x == 1 or x == t for x in c.colors]
-    starts = [i for i in range(n) if kept[i] and not kept[i - 1]]
-    if len(starts) <= 1:
+    n, t, colors = c.n, c.t, c.colors
+    kept = bytes(map({1, t}.__contains__, colors))
+    u_size = n - kept.count(1)
+    # runs start where a kept edge follows an interior one, around the cycle
+    m = kept.count(b"\x00\x01") + (kept[0] > kept[-1])
+    if m <= 1:
         # one run (or the whole cycle when no interior color exists)
         return ProofDecomposition(
             n=n,
             t=t,
             m=1,
             connected=True,
-            u_size=len(interior),
+            u_size=u_size,
             rotation=0,
             components=(),
             y=(),
@@ -279,56 +275,46 @@ def decompose(c: CycleColoring) -> ProofDecomposition:
             m1=frozenset(),
             m2=frozenset(),
         )
-    offset = starts[0]
-    colors = rotate_edges(c, offset).colors
-    kept = [x == 1 or x == t for x in colors]
-    runs: list[tuple[int, int]] = []
-    i = 0
-    while i < n:
-        if kept[i]:
-            j = i
-            while j + 1 < n and kept[j + 1]:
-                j += 1
-            runs.append((i + 1, j + 1))
-            i = j + 2
-        else:
-            i += 1
-    m = len(runs)
-    components: list[ComponentSpan] = []
-    y: list[int] = []
-    psi: list[int] = []
-    m1: set[int] = set()
-    m2: set[int] = set()
-    for q, (zeta, eta) in enumerate(runs, start=1):
-        next_zeta = runs[q][0] if q < m else None
-        h_size = eta - zeta + 1
-        h_prime = (next_zeta - eta + 1) if next_zeta is not None else (n - eta + 2)
-        components.append(ComponentSpan(q, zeta, eta, h_size, h_prime))
-        y.append(sgn_nat(colors[zeta - 1] - 1))
-        y.append(sgn_nat(colors[eta - 1] - 1))
-        psi.append(h_size)
-        psi.append(h_prime)
-        if next_zeta is not None:
-            gap_colors = colors[eta - 1 : next_zeta]
-        else:
-            gap_colors = colors[eta - 1 :] + colors[:1]
-        if 1 in gap_colors:
-            m1.add(q)
-        if t in gap_colors:
-            m2.add(q)
-    two_m = 2 * m
-    horizontal = tuple(y[j] == y[(j + 1) % two_m] for j in range(two_m))
+    offset = 0 if kept[0] > kept[-1] else kept.find(b"\x00\x01") + 1
+    kept = kept[offset:] + kept[:offset]
+    # In the rotated order edge 1 is kept and edge n is not, so the edges
+    # where keeping changes alternate: zeta_1, eta_1 + 1, zeta_2, eta_2 + 1, ...
+    bounds = list(compress(count(1), map(ne, kept, b"\x00" + kept[:-1])))
+    # psi alternates |H_q| = eta_q - zeta_q + 1 and
+    # |H'_q| = zeta_{q+1} - eta_q + 1, with zeta_{m+1} = n + 1.
+    psi = list(map(sub, bounds[1:] + [n + 1], bounds))
+    psi[1::2] = map(add, psi[1::2], repeat(2))
+    bounds[1::2] = map(sub, bounds[1::2], repeat(1))
+    # bounds now lists zeta_1, eta_1, zeta_2, ...; y is 0 where the color is
+    # 1 and 1 where it is t.  Rotated edge k is colors[k - 1 + offset - n],
+    # a valid index either way.
+    at = map(colors.__getitem__, map(add, bounds, repeat(offset - n - 1)))
+    y = list(map({1: 0, t: 1}.__getitem__, at))
+    # The gap after run q holds interior colors only, so it sees 1 or t
+    # exactly when eta_q or zeta_{q+1} has it; tops counts how many of those
+    # two edges have color t.
+    tops = list(map(add, y[1::2], y[2::2] + y[:1]))
+    index = list(range(1, m + 1))
+    # A list, unlike a tuple grown from an iterator, is not tracked anew by
+    # the garbage collector at each resize while it grows.
+    spans = list(
+        map(
+            _new_tuple,
+            repeat(ComponentSpan),
+            zip(index, bounds[0::2], bounds[1::2], psi[0::2], psi[1::2]),
+        )
+    )
     return ProofDecomposition(
         n=n,
         t=t,
         m=m,
         connected=False,
-        u_size=len(interior),
+        u_size=u_size,
         rotation=offset,
-        components=tuple(components),
+        components=tuple(spans),
         y=tuple(y),
         psi=tuple(psi),
-        horizontal=horizontal,
-        m1=frozenset(m1),
-        m2=frozenset(m2),
+        horizontal=tuple(map(eq, y, y[1:] + y[:1])),
+        m1=frozenset(compress(index, map((2).__gt__, tops))),
+        m2=frozenset(compress(index, tops)),
     )

@@ -8,6 +8,8 @@ first and last colors, so the palette is consecutive on the color circle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
+from operator import sub
 from typing import NamedTuple
 
 from .model import CycleColoring
@@ -36,6 +38,13 @@ MODES = (INTERVAL, CYCLIC)
 NOT_PROPER = "not-proper"
 NOT_INTERVAL = "not-interval"
 NOT_CYCLIC_INTERVAL = "not-cyclic-interval"
+
+# Vertices per block in verify: the unit in which violations are searched.
+_BLOCK = 256
+# _new_tuple(cls, fields) builds a NamedTuple as ``cls._make(fields)`` does,
+# without a Python-level call per object; building many violations or runs
+# is dominated by that call otherwise.
+_new_tuple = tuple.__new__
 
 
 class Violation(NamedTuple):
@@ -94,10 +103,10 @@ def _steps(t: int, mode: str) -> frozenset[int]:
     """Allowed differences b - a between the two colors a, b at a vertex.
 
     Interval mode: consecutive integers, {+1, -1}.  Cyclic mode: consecutive
-    on the color circle 1..t, which adds the wrap {+(t-1), -(t-1)}.  Equal
-    colors are not proper; callers rule them out first.
+    on the color circle 1..t, which adds the wrap {+(t-1), -(t-1)} once
+    t >= 3.  Never contains 0, so equal colors fail the rule as well.
     """
-    if mode == INTERVAL:
+    if mode == INTERVAL or t < 3:
         return frozenset((1, -1))
     return frozenset((1, -1, t - 1, 1 - t))
 
@@ -117,6 +126,10 @@ def verify(c: CycleColoring, mode: str = CYCLIC) -> VerificationReport:
 
     Violations list every failing vertex in ascending order; surjectivity
     failures surface through ``missing_colors`` rather than per-vertex entries.
+    The vertices are taken in blocks.  A C-level pass tests the differences
+    b - a of a block against the rule, stopping at the first that breaks
+    it, and only a block that fails is read again, vertex by vertex, to
+    name its violations.
     """
     _check_mode(mode)
     n, t, colors = c.n, c.t, c.colors
@@ -124,16 +137,22 @@ def verify(c: CycleColoring, mode: str = CYCLIC) -> VerificationReport:
     proper = True
     steps = _steps(t, mode)
     reason = NOT_INTERVAL if mode == INTERVAL else NOT_CYCLIC_INTERVAL
-    prev = colors[-1]
-    for i in range(n):
-        cur = colors[i]
-        if cur == prev:
-            proper = False
-            violations.append(Violation(i + 1, (prev, cur), NOT_PROPER))
-        elif cur - prev not in steps:
-            violations.append(Violation(i + 1, (prev, cur), reason))
-        prev = cur
-    missing = frozenset(range(1, t + 1)) - frozenset(colors)
+    for lo in range(0, n, _BLOCK):
+        hi = lo + _BLOCK
+        # vertex i + 1 sees colors[i - 1] and colors[i]; in the last block
+        # ``before`` may hold one color more, which map and zip ignore
+        before = colors[lo - 1 : hi - 1] if lo else colors[-1:] + colors[: hi - 1]
+        block = colors[lo:hi]
+        if steps.issuperset(map(sub, block, before)):
+            continue
+        for v, x, y in zip(count(lo + 1), before, block):
+            if x == y:
+                proper = False
+                violations.append(_new_tuple(Violation, (v, (x, y), NOT_PROPER)))
+            elif y - x not in steps:
+                violations.append(_new_tuple(Violation, (v, (x, y), reason)))
+    seen = set(colors)
+    missing = frozenset() if len(seen) == t else frozenset(range(1, t + 1)) - seen
     return VerificationReport(
         proper=proper,
         surjective=not missing,

@@ -1,0 +1,133 @@
+"""Per-edge loop references for ``verify`` and ``decompose``.
+
+The library checks a coloring and splits it into boundary runs with passes
+that run in C (``map``, ``set``, ``bytes``, ``compress``).  These are the
+plain loops they replaced, one edge or one run per Python step; the tests
+require the library to return exactly what they return.
+"""
+
+from cyclic_chroma import (
+    CYCLIC,
+    INTERVAL,
+    NOT_CYCLIC_INTERVAL,
+    NOT_INTERVAL,
+    NOT_PROPER,
+    ComponentSpan,
+    CycleColoring,
+    ProofDecomposition,
+    VerificationReport,
+    Violation,
+    rotate_edges,
+    sgn_nat,
+    u_set,
+)
+
+
+def adjacent(a: int, b: int, t: int, mode: str) -> bool:
+    """Two distinct colors of [1, t] may meet at a vertex under ``mode``.
+
+    Written out from the definition rather than taken from the library's
+    step set, so that the two cannot share a mistake.
+    """
+    return abs(a - b) == 1 or (mode == CYCLIC and {a, b} == {1, t})
+
+
+def verify(c: CycleColoring, mode: str = CYCLIC) -> VerificationReport:
+    n, t, colors = c.n, c.t, c.colors
+    violations = []
+    proper = True
+    reason = NOT_INTERVAL if mode == INTERVAL else NOT_CYCLIC_INTERVAL
+    prev = colors[-1]
+    for i in range(n):
+        cur = colors[i]
+        if cur == prev:
+            proper = False
+            violations.append(Violation(i + 1, (prev, cur), NOT_PROPER))
+        elif not adjacent(prev, cur, t, mode):
+            violations.append(Violation(i + 1, (prev, cur), reason))
+        prev = cur
+    missing = frozenset(range(1, t + 1)) - frozenset(colors)
+    return VerificationReport(
+        proper=proper,
+        surjective=not missing,
+        mode_satisfied=proper and not missing and not violations,
+        violations=tuple(violations),
+        missing_colors=missing,
+    )
+
+
+def decompose(c: CycleColoring) -> ProofDecomposition:
+    if not verify(c, CYCLIC).mode_satisfied:
+        raise ValueError("decompose requires a valid cyclic-mode coloring")
+    n, t = c.n, c.t
+    interior = u_set(c)
+    kept = [x == 1 or x == t for x in c.colors]
+    starts = [i for i in range(n) if kept[i] and not kept[i - 1]]
+    if len(starts) <= 1:
+        return ProofDecomposition(
+            n=n,
+            t=t,
+            m=1,
+            connected=True,
+            u_size=len(interior),
+            rotation=0,
+            components=(),
+            y=(),
+            psi=(),
+            horizontal=(),
+            m1=frozenset(),
+            m2=frozenset(),
+        )
+    offset = starts[0]
+    colors = rotate_edges(c, offset).colors
+    kept = [x == 1 or x == t for x in colors]
+    runs = []
+    i = 0
+    while i < n:
+        if kept[i]:
+            j = i
+            while j + 1 < n and kept[j + 1]:
+                j += 1
+            runs.append((i + 1, j + 1))
+            i = j + 2
+        else:
+            i += 1
+    m = len(runs)
+    components = []
+    y = []
+    psi = []
+    m1 = set()
+    m2 = set()
+    for q, (zeta, eta) in enumerate(runs, start=1):
+        next_zeta = runs[q][0] if q < m else None
+        h_size = eta - zeta + 1
+        h_prime = (next_zeta - eta + 1) if next_zeta is not None else (n - eta + 2)
+        components.append(ComponentSpan(q, zeta, eta, h_size, h_prime))
+        y.append(sgn_nat(colors[zeta - 1] - 1))
+        y.append(sgn_nat(colors[eta - 1] - 1))
+        psi.append(h_size)
+        psi.append(h_prime)
+        if next_zeta is not None:
+            gap_colors = colors[eta - 1 : next_zeta]
+        else:
+            gap_colors = colors[eta - 1 :] + colors[:1]
+        if 1 in gap_colors:
+            m1.add(q)
+        if t in gap_colors:
+            m2.add(q)
+    two_m = 2 * m
+    horizontal = tuple(y[j] == y[(j + 1) % two_m] for j in range(two_m))
+    return ProofDecomposition(
+        n=n,
+        t=t,
+        m=m,
+        connected=False,
+        u_size=len(interior),
+        rotation=offset,
+        components=tuple(components),
+        y=tuple(y),
+        psi=tuple(psi),
+        horizontal=horizontal,
+        m1=frozenset(m1),
+        m2=frozenset(m2),
+    )

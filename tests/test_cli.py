@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from cyclic_chroma import MATERIALIZE_CAP, cli, oracle, verifier
 from cyclic_chroma.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "table8.csv"
@@ -77,6 +78,12 @@ class TestMake:
     def test_bad_n(self, runner):
         result = runner.invoke(main, ["make", "2", "2"])
         assert result.exit_code == 2
+
+    def test_witness_above_cap_refused(self, runner):
+        result = runner.invoke(main, ["make", str(MATERIALIZE_CAP + 1), "3"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: refusing to materialize a witness")
 
 
 class TestCheck:
@@ -257,7 +264,38 @@ class TestDecompose:
             main, ["decompose"], input='{"n":4,"t":4,"colors":[1,3,2,4]}'
         )
         assert result.exit_code == 1
-        assert "violation" in result.output
+        assert result.output == (
+            "not a valid cyclic-mode coloring:\n"
+            "violation: v2 palette (1,3) not-cyclic-interval\n"
+            "violation: v4 palette (2,4) not-cyclic-interval\n"
+        )
+
+    def test_invalid_coloring_json(self, runner):
+        result = runner.invoke(
+            main, ["decompose", "--json"], input='{"n":5,"t":5,"colors":[1,1,2,3,4]}'
+        )
+        assert result.exit_code == 1
+        assert result.output == (
+            '{"proper":false,"surjective":false,"valid":false,"violations":['
+            '{"vertex":1,"palette":[4,1],"reason":"not-cyclic-interval"},'
+            '{"vertex":2,"palette":[1,1],"reason":"not-proper"}],'
+            '"missing_colors":[5]}\n'
+        )
+
+    def test_valid_coloring_verified_once(self, runner, monkeypatch):
+        calls = []
+
+        def counting(c, mode):
+            calls.append(mode)
+            return verifier.verify(c, mode)
+
+        monkeypatch.setattr(cli, "verify", counting)
+        monkeypatch.setattr(oracle, "verify", counting)
+        result = runner.invoke(
+            main, ["decompose"], input='{"n":7,"t":5,"colors":[1,2,1,2,3,4,5]}'
+        )
+        assert result.exit_code == 0
+        assert calls == ["cyclic"]
 
     def test_json(self, runner):
         result = runner.invoke(

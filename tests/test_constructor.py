@@ -3,6 +3,7 @@ import pytest
 from cyclic_chroma import (
     CYCLIC,
     INTERVAL,
+    MATERIALIZE_CAP,
     Infeasible,
     REASON_FORBIDDEN,
     REASON_PATTERN,
@@ -84,7 +85,26 @@ class TestConstruct:
         with pytest.raises(Infeasible) as exc:
             construct(10**7, 10**7 - 1)
         assert exc.value.reason == REASON_FORBIDDEN
-        assert len(exc.value.message) < 200
+        assert len(exc.value.message) == 71
+
+    def test_witness_above_cap_refused(self):
+        n = MATERIALIZE_CAP + 1
+        for build, t in ((construct, 3), (zigzag_staircase, 3), (construct, n)):
+            with pytest.raises(ValueError, match="refusing to materialize a witness"):
+                build(n, t)
+        with pytest.raises(ValueError, match="refusing to materialize a witness"):
+            tent(MATERIALIZE_CAP + 2, 3)
+        assert construct(MATERIALIZE_CAP, 2).n == MATERIALIZE_CAP
+
+    def test_infeasible_checked_before_cap(self):
+        # test_long_forbidden_set_is_elided covers a forbidden t above the cap
+        with pytest.raises(Infeasible) as exc:
+            construct(10**7, 1)
+        assert exc.value.reason == REASON_RANGE
+        for build, n in ((tent, MATERIALIZE_CAP + 1), (zigzag_staircase, 10**7)):
+            with pytest.raises(Infeasible) as exc:
+                build(n, 3)
+            assert exc.value.reason == REASON_PATTERN
 
     def test_out_of_range(self):
         with pytest.raises(Infeasible) as exc:

@@ -1,0 +1,110 @@
+"""``verify`` and ``decompose`` against the per-edge loops they replaced.
+
+Every field of the report, the order of the violations, the JSON of the
+decomposition (which tells ``1`` from ``true``) and the component tuples
+must match ``loop_reference`` exactly.
+"""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import loop_reference
+
+from cyclic_chroma import (
+    CYCLIC,
+    INTERVAL,
+    CycleColoring,
+    construct,
+    contains,
+    decompose,
+    enumerate_colorings,
+    rotate_edges,
+    shift_colors,
+    verify,
+)
+
+
+def assert_matches_reference(c):
+    for mode in (INTERVAL, CYCLIC):
+        got, want = verify(c, mode), loop_reference.verify(c, mode)
+        assert got == want, (c, mode)
+        assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+    if not verify(c, CYCLIC).mode_satisfied:
+        with pytest.raises(ValueError):
+            decompose(c)
+        return
+    got, want = decompose(c), loop_reference.decompose(c)
+    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict()), c
+    assert got.components == want.components
+
+
+def test_every_small_witness():
+    for n in range(3, 11):
+        for t in range(1, n + 1):
+            for c in enumerate_colorings(n, t):
+                assert_matches_reference(c)
+
+
+def feasible_t(n, k):
+    """The k-th feasible color count of C(n), cycling through them."""
+    members = [t for t in range(2, n + 1) if contains(n, t)]
+    return members[k % len(members)]
+
+
+sizes = st.one_of(st.integers(3, 40), st.integers(41, 2000))
+
+
+@st.composite
+def random_colorings(draw):
+    n = draw(sizes)
+    t = draw(st.sampled_from([1, 2, 3, n]) | st.integers(1, n))
+    rng = draw(st.randoms(use_true_random=False))
+    return CycleColoring(n, t, tuple(rng.randint(1, t) for _ in range(n)))
+
+
+@st.composite
+def witnesses(draw):
+    n = draw(sizes)
+    t = draw(st.sampled_from([2, 3, n]) | st.integers(2, n))
+    if not contains(n, t):
+        t = feasible_t(n, t)
+    c = rotate_edges(construct(n, t), draw(st.integers(0, n - 1)))
+    return shift_colors(c, draw(st.integers(0, t - 1)))
+
+
+@st.composite
+def recolored_witnesses(draw):
+    c = draw(witnesses())
+    colors = list(c.colors)
+    colors[draw(st.integers(0, c.n - 1))] = draw(st.integers(1, c.t))
+    return CycleColoring(c.n, c.t, tuple(colors))
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_colorings())
+def test_random_colorings(c):
+    assert_matches_reference(c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(witnesses())
+def test_rotated_shifted_witnesses(c):
+    assert_matches_reference(c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(recolored_witnesses())
+def test_witnesses_with_one_edge_recolored(c):
+    assert_matches_reference(c)
+
+
+@pytest.mark.parametrize("n, t", [(200_000, 3), (200_000, 100_001), (199_999, 99_999)])
+def test_large_witnesses(n, t):
+    c = rotate_edges(construct(n, t), n // 3 + 1)
+    assert_matches_reference(c)
+    colors = list(c.colors)
+    colors[n // 2] = colors[n // 2] % t + 1
+    assert_matches_reference(CycleColoring(n, t, tuple(colors)))

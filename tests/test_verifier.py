@@ -20,6 +20,7 @@ from cyclic_chroma import (
     verify,
     vertex_palette,
 )
+from cyclic_chroma.verifier import _steps
 
 
 def coloring(colors, t=None):
@@ -97,6 +98,11 @@ class TestPaletteCyclicallyOk:
         # the difference 0 - 3 is -(t-1), but 0 is no color of [1, 4]
         with pytest.raises(ValueError):
             palette_cyclically_ok((0, 3), 4)
+
+    def test_steps_never_allow_equal_colors(self):
+        for t in range(1, 51):
+            for mode in (INTERVAL, CYCLIC):
+                assert 0 not in _steps(t, mode), (t, mode)
 
     def test_degree_two_equivalence_exhaustive(self):
         # the function must match the literal rule: the pair or its complement
