@@ -17,7 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 
-from .model import epsilon
+from .model import RangeSet, _int_between, epsilon
 
 __all__ = [
     "PROVENANCE_FORMULA",
@@ -46,7 +46,8 @@ class ThetaSet:
 
     Building one is O(len(members)): one built by hand has every member
     checked, while the closed forms check only the ranges they are made of.
-    ``in`` is a binary search, O(log n); iteration and ``len`` are those of
+    ``in`` is a binary search, O(log n), after a probe that is not an int is
+    mapped to the int it equals in O(1); iteration and ``len`` are those of
     the ``members`` tuple.
     """
 
@@ -85,12 +86,11 @@ class ThetaSet:
 
     def __contains__(self, t: object) -> bool:
         members = self.members
-        try:
-            i = bisect_left(members, t)
-        except (TypeError, ArithmeticError):
-            # t does not order against int (a str, a Decimal NaN): keep the
-            # tuple's own equality test
-            return t in members
+        if type(t) is not int:
+            t = _int_between(t, members[0], members[-1]) if members else None
+            if t is None:
+                return False
+        i = bisect_left(members, t)
         return i < len(members) and members[i] == t
 
     def __iter__(self):
@@ -138,12 +138,14 @@ def _gap(n: int) -> range:
     return range(half + 2 + epsilon(half), n, 2)
 
 
-def forbidden_set(n: int) -> set[int]:
+def forbidden_set(n: int) -> RangeSet:
     """Color counts in [chi', n] admitting no cyclic-mode coloring (n >= 5).
 
     Odd n: the even t in [4, n-1].  Even n: the odd t in [n/2+2+eps(n/2), n-1].
+    A read-only RangeSet over _gap(n): O(1) to build, ``in`` and ``len``,
+    for every n; it compares equal to the plain set of its members.
     """
-    return set(_gap(n))
+    return RangeSet(_gap(n))
 
 
 def theta_cyclic(n: int) -> ThetaSet:

@@ -54,6 +54,9 @@ class PlainIntType(click.ParamType):
 PLAIN_INT = PlainIntType()
 _MODE_CHOICE = click.Choice([CYCLIC, INTERVAL])
 
+# `table` refuses NMAX above this: its time, memory and output grow as NMAX².
+TABLE_CAP = 1000
+
 
 def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
@@ -288,12 +291,18 @@ def oracle(
 def table(nmax: int, oracle_upto: int | None, fmt: str, as_json: bool) -> None:
     """Reference table for n in [3, NMAX]: chromatic index, feasible set, gap."""
     _require(nmax >= 3, "NMAX must be at least 3")
+    if nmax > TABLE_CAP:
+        click.echo(
+            f"error: refusing to build a table for NMAX={nmax} (cap {TABLE_CAP})",
+            err=True,
+        )
+        sys.exit(2)
     with_oracle = oracle_upto is not None
     rows: list[dict] = []
     try:
         for n in range(3, nmax + 1):
             theta_formula = theta_cyclic(n).members
-            gap = sorted(forbidden_set(n)) if n >= 5 else []
+            gap = list(forbidden_set(n)) if n >= 5 else []
             row: dict = {
                 "n": n,
                 "chi": chi_prime(n),

@@ -8,8 +8,11 @@ All values are immutable and every operation is pure.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Set
 from dataclasses import dataclass
 from enum import IntEnum
+from math import trunc
 
 __all__ = [
     "Parity",
@@ -100,9 +103,95 @@ def sgn_nat(k: int) -> int:
     return 0 if k == 0 else 1
 
 
-def parity_filter(lo: int, hi: int, p: Parity) -> set[int]:
-    """Integers in [lo, hi] with parity p; empty when lo > hi."""
-    return set(range(lo + (lo - p) % 2, hi + 1, 2))
+def _int_between(x: object, lo: int, hi: int) -> int | None:
+    """The int in [lo, hi] that x equals, or None when there is none.
+
+    O(1) for every x: only the bounds and one int are compared with it, so
+    '3', None and Decimal('NaN') are answered without a scan, while 2.0,
+    Fraction(4), 4+0j and True stand for the int they equal.
+    """
+    if isinstance(x, complex):
+        if x.imag:
+            return None
+        x = x.real
+    try:
+        if not lo <= x <= hi:
+            return None
+        i = trunc(x)
+    except (TypeError, ValueError, ArithmeticError):
+        # x does not order against int (a str, None, a Decimal NaN)
+        return None
+    return i if type(i) is int and i == x else None
+
+
+def _set_operator(op):
+    """A set operator for RangeSet: it works on a set of the members."""
+
+    def forward(self, other):
+        return op(set(self._range), other)
+
+    def reflected(self, other):
+        if not isinstance(other, (set, frozenset)):
+            return NotImplemented
+        return op(set(other), set(self._range))
+
+    return forward, reflected
+
+
+class RangeSet(Set):
+    """A read-only set of the members of one ascending ``range``.
+
+    ``in`` and ``len`` are O(1) and iteration is ascending.  ``==`` against
+    a set or frozenset is one length test and one C-level pass over the
+    range; ``| & - ^`` return a plain ``set``.  Unhashable, like ``set``.
+    """
+
+    __slots__ = ("_range",)
+
+    def __init__(self, members: range) -> None:
+        if members.step <= 0:
+            raise ValueError("a RangeSet needs an ascending range")
+        self._range = members
+
+    def __contains__(self, x: object) -> bool:
+        r = self._range
+        if type(x) is not int:
+            hash(x)  # an unhashable probe raises TypeError, as for a set
+            x = _int_between(x, r.start, r.stop - 1)
+            if x is None:
+                return False
+        return x in r
+
+    def __iter__(self):
+        return iter(self._range)
+
+    def __len__(self) -> int:
+        return len(self._range)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RangeSet):
+            return self._range == other._range
+        if isinstance(other, (set, frozenset)):
+            return len(other) == len(self._range) and other.issuperset(self._range)
+        return super().__eq__(other)
+
+    __hash__ = None
+
+    __or__, __ror__ = _set_operator(operator.or_)
+    __and__, __rand__ = _set_operator(operator.and_)
+    __sub__, __rsub__ = _set_operator(operator.sub)
+    __xor__, __rxor__ = _set_operator(operator.xor)
+
+    def __repr__(self) -> str:
+        return f"RangeSet({self._range!r})"
+
+
+def parity_filter(lo: int, hi: int, p: Parity) -> RangeSet:
+    """Integers in [lo, hi] with parity p, as a RangeSet; empty when lo > hi.
+
+    O(1) to build, whatever the width of [lo, hi].
+    """
+    return RangeSet(range(lo + (lo - p) % 2, hi + 1, 2))
 
 
 def rotate_edges(c: CycleColoring, offset: int) -> CycleColoring:

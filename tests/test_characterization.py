@@ -1,6 +1,10 @@
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
+
+from counting_probe import CountingProbe, HashOnlyProbe
 
 from cyclic_chroma import (
     MATERIALIZE_CAP,
@@ -16,6 +20,7 @@ from cyclic_chroma import (
     theta_cyclic,
     theta_interval,
 )
+from cyclic_chroma.characterization import _gap
 
 # deterministic sample of larger cycle sizes, to keep full-range invariant
 # checks affordable
@@ -61,6 +66,31 @@ class TestForbiddenSet:
                 if not exists_search(n, t, "cyclic")
             }
             assert gap == forbidden_set(n)
+
+    def test_equals_the_set_of_the_gap(self):
+        sizes = list(range(5, 2001))
+        sizes += [MATERIALIZE_CAP - 2, MATERIALIZE_CAP - 1, MATERIALIZE_CAP]
+        for n in sizes:
+            gap = forbidden_set(n)
+            plain = set(_gap(n))
+            assert gap == plain and plain == gap, n
+            assert len(gap) == len(plain), n
+            complement = set(range(chi_prime(n), n + 1)).difference(
+                theta_cyclic(n).members
+            )
+            assert gap == complement, n
+
+    def test_huge_n(self):
+        n = 10**18
+        gap = forbidden_set(n)
+        lo = n // 2 + 3  # n/2 + 2 + eps(n/2), with n/2 even
+        assert len(gap) == (n - 1 - lo) // 2 + 1
+        assert next(iter(gap)) == lo
+        assert lo in gap and n - 1 in gap
+        assert lo - 2 not in gap and n + 1 not in gap and n not in gap
+        odd = forbidden_set(n + 1)
+        assert len(odd) == n // 2 - 1
+        assert 4 in odd and n in odd and 3 not in odd and n + 1 not in odd
 
 
 class TestThetaCyclic:
@@ -220,6 +250,26 @@ class TestThetaSet:
                 assert (t in itv) == (t in itv.members), (n, t)
         assert 2.0 in theta_cyclic(6)
         assert "3" not in theta_cyclic(6)
+
+    def test_non_int_probes_answer_like_the_tuple(self):
+        th = theta_cyclic(10)
+        probes = [
+            2.0, 2.5, "3", Decimal("NaN"), Decimal(4), None, Fraction(4),
+            Fraction(9, 2), 4 + 0j, 4 + 1j, True, float("nan"), [], 1e300,
+        ]
+        for x in probes:
+            assert (x in th) == (x in th.members), x
+        assert 4.0 not in theta_interval(5)
+
+    def test_a_probe_makes_few_comparisons(self):
+        th = theta_cyclic(10**6)
+        for value in (10, 999_999, 1, 10**6 + 1, 10**18):
+            probe = CountingProbe(value)
+            assert (probe in th) == (value in th)
+            assert probe.eq_calls <= 2
+            probe = HashOnlyProbe(value)
+            probe in th
+            assert probe.eq_calls <= 2
 
     def test_ranges_checked_like_members(self):
         with pytest.raises(ValueError, match="strictly increasing"):

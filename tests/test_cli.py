@@ -230,6 +230,29 @@ class TestTable:
         result = runner.invoke(main, ["table", "2"])
         assert result.exit_code == 2
 
+    def test_above_cap_refused(self, runner):
+        result = runner.invoke(main, ["table", str(cli.TABLE_CAP + 1)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: refusing to build a table for NMAX={cli.TABLE_CAP + 1} "
+            f"(cap {cli.TABLE_CAP})\n"
+        )
+
+    def test_above_cap_builds_no_row(self, runner, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "theta_cyclic", lambda n: calls.append(n))
+        result = runner.invoke(main, ["table", str(10**30), "--json"])
+        assert result.exit_code == 2
+        assert calls == []
+
+    def test_cap_accepted(self, runner):
+        result = runner.invoke(main, ["table", str(cli.TABLE_CAP)])
+        assert result.exit_code == 0
+        lines = result.stdout.splitlines()
+        assert len(lines) == cli.TABLE_CAP - 1
+        assert lines[-1].startswith(f"{cli.TABLE_CAP},2,")
+
     def test_json(self, runner):
         result = runner.invoke(main, ["table", "4", "--json"])
         assert result.exit_code == 0

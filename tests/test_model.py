@@ -1,6 +1,11 @@
+from decimal import Decimal
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+
+from counting_probe import CountingProbe, HashOnlyProbe
 
 from cyclic_chroma import (
     CycleColoring,
@@ -11,6 +16,7 @@ from cyclic_chroma import (
     sgn_nat,
     shift_colors,
 )
+from cyclic_chroma.model import RangeSet
 
 
 def coloring(colors, t=None):
@@ -79,6 +85,103 @@ class TestParityFilter:
         odds = parity_filter(lo, hi, Parity.ODD)
         assert evens | odds == set(range(lo, hi + 1))
         assert evens & odds == set()
+
+
+    @given(st.integers(-10**4, 10**4), st.integers(-10**4, 10**4), st.sampled_from(Parity))
+    def test_matches_the_set_of_the_range(self, lo, hi, p):
+        expected = set(range(lo + (lo - p) % 2, hi + 1, 2))
+        got = parity_filter(lo, hi, p)
+        assert got == expected and expected == got
+        assert len(got) == len(expected)
+        assert list(got) == sorted(expected)
+        assert all((t in got) == (t in expected) for t in range(lo - 2, hi + 3))
+
+    def test_huge_interval(self):
+        got = parity_filter(0, 10**18, Parity.EVEN)
+        assert len(got) == 5 * 10**17 + 1
+        assert next(iter(got)) == 0
+        assert 10**18 in got and 10**18 - 1 not in got
+        assert 10**18 + 2 not in got and -2 not in got
+
+
+class TestRangeSet:
+    CASES = [range(4, 9, 2), range(7, 10, 2), range(2, 3), range(5, 5), range(-3, 12, 3)]
+
+    @pytest.mark.parametrize("r", CASES)
+    def test_equal_to_the_set_of_the_range(self, r):
+        rs, plain = RangeSet(r), set(r)
+        assert rs == plain and plain == rs
+        assert rs == frozenset(r) and frozenset(r) == rs
+        assert not rs != plain and not plain != rs
+        assert rs != plain | {100} and plain | {100} != rs
+        assert rs == RangeSet(range(r.start, r.stop, r.step))
+        assert len(rs) == len(plain)
+        assert list(rs) == sorted(plain)
+
+    @pytest.mark.parametrize("r", CASES)
+    def test_operators_in_both_orders_return_sets(self, r):
+        rs, plain = RangeSet(r), set(r)
+        for other in ({4, 5, 6, 100}, frozenset({7, 8}), set(), plain):
+            for op, name in [
+                (lambda a, b: a | b, "|"),
+                (lambda a, b: a & b, "&"),
+                (lambda a, b: a - b, "-"),
+                (lambda a, b: a ^ b, "^"),
+            ]:
+                forward, reflected = op(rs, other), op(other, rs)
+                assert type(forward) is set and type(reflected) is set, name
+                assert forward == op(plain, set(other)), name
+                assert reflected == op(set(other), plain), name
+        assert type(rs | RangeSet(range(1, 3))) is set
+        assert rs | RangeSet(range(1, 3)) == plain | {1, 2}
+
+    def test_operators_refuse_non_sets_like_set(self):
+        rs = RangeSet(range(4, 9, 2))
+        for bad in ([1], (1,), "1"):
+            with pytest.raises(TypeError):
+                rs | bad
+            with pytest.raises(TypeError):
+                bad - rs
+
+    def test_read_only_and_unhashable(self):
+        rs = RangeSet(range(4, 9, 2))
+        with pytest.raises(TypeError):
+            hash(rs)
+        with pytest.raises(TypeError):
+            {rs}
+        for method in ("add", "discard", "remove", "update", "union", "clear"):
+            assert not hasattr(rs, method), method
+        with pytest.raises(AttributeError):
+            rs.extra = 1
+
+    def test_rejects_a_descending_range(self):
+        with pytest.raises(ValueError):
+            RangeSet(range(9, 3, -2))
+
+    def test_non_int_probes_answer_like_a_set(self):
+        r = range(1, 9)
+        rs, plain = RangeSet(r), set(r)
+        probes = [
+            2.0, 2.5, "3", Decimal("NaN"), Decimal(4), None, Fraction(4),
+            Fraction(9, 2), 4 + 0j, 4 + 1j, True, False, float("nan"),
+            float("inf"), Parity.ODD, 1e300,
+        ]
+        for x in probes:
+            assert (x in rs) == (x in plain), x
+        with pytest.raises(TypeError):
+            [] in rs
+        with pytest.raises(TypeError):
+            Decimal("sNaN") in rs
+
+    def test_a_probe_makes_few_comparisons(self):
+        rs = RangeSet(range(0, 2 * 10**6, 2))
+        for value in (10, 11, -4, 2 * 10**6, 10**18):
+            probe = CountingProbe(value)
+            assert (probe in rs) == (value in rs)
+            assert probe.eq_calls <= 2
+            probe = HashOnlyProbe(value)
+            probe in rs
+            assert probe.eq_calls <= 2
 
 
 class TestCycleColoring:
