@@ -1,9 +1,12 @@
 """Command-line surface: membership, witnesses, verification, search, tables.
 
 Exit codes are uniform across commands: 0 for success or a valid coloring,
-1 for infeasible / invalid / theorem disagreement, 2 for usage, parse, or
-resource errors.  With --json every command prints a single JSON object on
-standard output; diagnostics go to standard error.
+1 for infeasible / invalid / theorem disagreement, 2 for a refusal.  Every
+refusal is one ``error:`` line on standard error and exit 2: a cap, the
+search bound, a malformed coloring record, or a malformed
+CYCLIC_CHROMA_MAX_N.  Bad arguments get click's usage error, also exit 2.
+With --json every command prints a single JSON object on standard output;
+diagnostics go to standard error.
 """
 
 from __future__ import annotations
@@ -70,6 +73,24 @@ def _semis(values) -> str:
     return ";".join(str(v) for v in values)
 
 
+# `table` formats: member formatter, line start, cell separator, line end
+_TABLE_STYLES = {
+    "csv": (_semis, "", ",", ""),
+    "markdown": (_braced, "| ", " | ", " |"),
+}
+
+
+def _table_cells(row: dict, members, with_oracle: bool) -> list[str]:
+    cells = [str(row["n"]), str(row["chi"])]
+    cells += [members(row["theta"]), members(row["forbidden"])]
+    if with_oracle:
+        if "oracle" in row:
+            cells += [members(row["oracle"]), str(row["agree"]).lower()]
+        else:
+            cells += ["", ""]
+    return cells
+
+
 def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
@@ -87,19 +108,18 @@ def _read_coloring(src: str | None) -> CycleColoring:
         else:
             with open(src, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
-        click.echo(f"error: cannot read input: {exc}", err=True)
-        sys.exit(2)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read input: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        click.echo(f"error: input is not valid JSON: {exc}", err=True)
-        sys.exit(2)
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers an int literal past the digit limit;
+        # RecursionError, arrays or objects nested too deep
+        raise ValueError(f"input is not valid JSON: {exc}") from exc
     try:
         return CycleColoring.from_record(data)
     except ValueError as exc:
-        click.echo(f"error: bad coloring record: {exc}", err=True)
-        sys.exit(2)
+        raise ValueError(f"bad coloring record: {exc}") from exc
 
 
 def _echo_violations(report) -> None:
@@ -111,7 +131,18 @@ def _echo_violations(report) -> None:
         click.echo(f"missing colors: {_braced(sorted(report.missing_colors))}")
 
 
-@click.group()
+class _RefusingGroup(click.Group):
+    """Reports a library refusal as one ``error:`` line and exit 2."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, SearchBoundExceeded) as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(2)
+
+
+@click.group(cls=_RefusingGroup)
 @click.version_option(__version__, prog_name="cyclic-chroma")
 def main() -> None:
     """Interval-like edge colorings of simple cycles: closed formulas,
@@ -131,11 +162,7 @@ def main() -> None:
 def theta(n: int, mode: str, as_json: bool) -> None:
     """Print every feasible color count for the N-edge cycle."""
     _require(n >= 3, "N must be at least 3")
-    try:
-        ts = theta_cyclic(n) if mode == CYCLIC else theta_interval(n)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    ts = theta_cyclic(n) if mode == CYCLIC else theta_interval(n)
     if as_json:
         obj: dict = {
             "n": n,
@@ -180,9 +207,6 @@ def make(n: int, t: int, as_json: bool) -> None:
         else:
             click.echo(f"infeasible: {exc.message}")
         sys.exit(1)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
     click.echo(_dumps(coloring.to_record()))
 
 
@@ -233,21 +257,17 @@ def oracle(
     _require(1 <= tmin <= tmax <= n, "need 1 <= tmin <= tmax <= N")
     interval_members = theta_interval(n).members if mode == INTERVAL else ()
     rows: list[dict] = []
-    try:
-        for t in range(tmin, tmax + 1):
-            if with_count:
-                count = count_colorings(n, t, mode)
-                row: dict = {"t": t, "exists": count > 0, "count": count}
-            else:
-                row = {"t": t, "exists": exists_search(n, t, mode)}
-            if check_formula:
-                row["formula"] = (
-                    contains(n, t) if mode == CYCLIC else t in interval_members
-                )
-            rows.append(row)
-    except SearchBoundExceeded as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    for t in range(tmin, tmax + 1):
+        if with_count:
+            count = count_colorings(n, t, mode)
+            row: dict = {"t": t, "exists": count > 0, "count": count}
+        else:
+            row = {"t": t, "exists": exists_search(n, t, mode)}
+        if check_formula:
+            row["formula"] = (
+                contains(n, t) if mode == CYCLIC else t in interval_members
+            )
+        rows.append(row)
     agree = (
         all(r["exists"] == r["formula"] for r in rows) if check_formula else None
     )
@@ -292,73 +312,35 @@ def table(nmax: int, oracle_upto: int | None, fmt: str, as_json: bool) -> None:
     """Reference table for n in [3, NMAX]: chromatic index, feasible set, gap."""
     _require(nmax >= 3, "NMAX must be at least 3")
     if nmax > TABLE_CAP:
-        click.echo(
-            f"error: refusing to build a table for NMAX={nmax} (cap {TABLE_CAP})",
-            err=True,
-        )
-        sys.exit(2)
+        raise ValueError(f"refusing to build a table for NMAX={nmax} (cap {TABLE_CAP})")
     with_oracle = oracle_upto is not None
     rows: list[dict] = []
-    try:
-        for n in range(3, nmax + 1):
-            theta_formula = theta_cyclic(n).members
-            gap = list(forbidden_set(n)) if n >= 5 else []
-            row: dict = {
-                "n": n,
-                "chi": chi_prime(n),
-                "theta": list(theta_formula),
-                "forbidden": gap,
-            }
-            if with_oracle and n <= oracle_upto:
-                found = theta_by_search(n, CYCLIC).members
-                row["oracle"] = list(found)
-                row["agree"] = found == theta_formula
-            rows.append(row)
-    except SearchBoundExceeded as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    for n in range(3, nmax + 1):
+        theta_formula = theta_cyclic(n).members
+        gap = list(forbidden_set(n)) if n >= 5 else []
+        row: dict = {
+            "n": n,
+            "chi": chi_prime(n),
+            "theta": list(theta_formula),
+            "forbidden": gap,
+        }
+        if with_oracle and n <= oracle_upto:
+            found = theta_by_search(n, CYCLIC).members
+            row["oracle"] = list(found)
+            row["agree"] = found == theta_formula
+        rows.append(row)
     if as_json:
         click.echo(_dumps({"nmax": nmax, "oracle_upto": oracle_upto, "rows": rows}))
         return
-    if fmt == "csv":
-        header = "n,chi,theta,forbidden" + (",oracle,agree" if with_oracle else "")
-        lines = [header]
-        for row in rows:
-            line = (
-                f"{row['n']},{row['chi']},"
-                f"{_semis(row['theta'])},{_semis(row['forbidden'])}"
-            )
-            if with_oracle:
-                if "oracle" in row:
-                    line += f",{_semis(row['oracle'])},{str(row['agree']).lower()}"
-                else:
-                    line += ",,"
-            lines.append(line)
-    else:
-        headers = ["n", "chi", "theta", "forbidden"]
-        if with_oracle:
-            headers += ["oracle", "agree"]
-        lines = [
-            "| " + " | ".join(headers) + " |",
-            "| " + " | ".join(["---"] * len(headers)) + " |",
-        ]
-        for row in rows:
-            cells = [
-                str(row["n"]),
-                str(row["chi"]),
-                _braced(row["theta"]),
-                _braced(row["forbidden"]),
-            ]
-            if with_oracle:
-                if "oracle" in row:
-                    cells += [_braced(row["oracle"]), str(row["agree"]).lower()]
-                else:
-                    cells += ["", ""]
-            lines.append("| " + " | ".join(cells) + " |")
-    click.echo("\n".join(lines) + "\n", nl=False)
+    members, lead, sep, end = _TABLE_STYLES[fmt]
+    headers = ["n", "chi", "theta", "forbidden"]
+    if with_oracle:
+        headers += ["oracle", "agree"]
+    grid = [headers]
+    if fmt == "markdown":
+        grid.append(["---"] * len(headers))
+    grid += [_table_cells(row, members, with_oracle) for row in rows]
+    click.echo("".join(f"{lead}{sep.join(cells)}{end}\n" for cells in grid), nl=False)
 
 
 @main.command()

@@ -86,8 +86,11 @@ class CycleColoring:
         _require_int(t, "'t'")
         if not isinstance(colors, (list, tuple)):
             raise ValueError("'colors' must be an array of integers")
-        for x in colors:
-            _require_int(x, "'colors' entry")
+        # one C-level pass over the entry types; the loop that names the
+        # first bad entry runs only when some entry is not a plain int
+        if not {int}.issuperset(map(type, colors)):
+            for x in colors:
+                _require_int(x, "'colors' entry")
         return cls(n, t, tuple(colors))
 
 

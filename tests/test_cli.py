@@ -117,6 +117,29 @@ class TestCheck:
         assert result.exit_code == 2
         assert "not valid JSON" in result.stderr
 
+    def test_deeply_nested_json(self, runner):
+        result = runner.invoke(main, ["check"], input="[" * 100_000 + "]" * 100_000)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: input is not valid JSON: ")
+        assert result.stderr.count("\n") == 1
+
+    def test_int_literal_past_the_digit_limit(self, runner):
+        record = '{"n":4,"t":3,"colors":[1,2,1,' + "3" * 5000 + "]}"
+        result = runner.invoke(main, ["check"], input=record)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1
+
+    def test_undecodable_file(self, runner, tmp_path):
+        path = tmp_path / "coloring.json"
+        path.write_bytes(b"\xff\xfe{}")
+        result = runner.invoke(main, ["check", str(path)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: cannot read input: 'utf-8' codec")
+
     def test_file_input(self, runner, tmp_path):
         path = tmp_path / "coloring.json"
         path.write_text('{"n":5,"t":3,"colors":[1,2,1,2,3]}')
@@ -172,6 +195,27 @@ class TestOracle:
             main, ["oracle", "12"], env={"CYCLIC_CHROMA_MAX_N": "10"}
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("extra", [[], ["--count"]])
+    def test_malformed_env_bound_refused(self, runner, extra):
+        result = runner.invoke(
+            main, ["oracle", "5", *extra], env={"CYCLIC_CHROMA_MAX_N": "abc"}
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: CYCLIC_CHROMA_MAX_N must be an unsigned integer without "
+            "leading zeros, got 'abc'\n"
+        )
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    def test_interval_set_above_cap_refused(self, runner):
+        result = runner.invoke(
+            main, ["oracle", str(MATERIALIZE_CAP + 1), "--mode", "interval"]
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: refusing to materialize a feasible set")
 
     def test_trange_validation(self, runner):
         result = runner.invoke(main, ["oracle", "6", "--tmin", "4", "--tmax", "2"])
@@ -338,6 +382,13 @@ class TestNumericParsing:
     def test_rejects_decorated_integers(self, runner, bad):
         result = runner.invoke(main, ["theta", bad])
         assert result.exit_code == 2
+
+    def test_digits_past_the_int_limit_refused(self, runner):
+        result = runner.invoke(main, ["theta", "1" * 5000])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1
 
     def test_plain_zero_parses_but_fails_range(self, runner):
         result = runner.invoke(main, ["theta", "0"])

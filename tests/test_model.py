@@ -229,6 +229,20 @@ class TestCycleColoring:
         with pytest.raises(ValueError):
             CycleColoring.from_record({"n": 3.0, "t": 3, "colors": [1, 2, 3]})
 
+    @pytest.mark.parametrize(
+        "bad, shown",
+        [("3", "'3'"), (True, "True"), (2.5, "2.5"), (None, "None"), ([2], "[2]")],
+    )
+    def test_record_names_the_first_bad_color(self, bad, shown):
+        record = {"n": 4, "t": 3, "colors": [1, bad, 2, "later"]}
+        with pytest.raises(ValueError) as info:
+            CycleColoring.from_record(record)
+        assert str(info.value) == f"'colors' entry must be an integer, got {shown}"
+
+    def test_record_accepts_int_subclass_colors(self):
+        record = {"n": 3, "t": 3, "colors": [Parity.ODD, 2, 3]}
+        assert CycleColoring.from_record(record).colors == (1, 2, 3)
+
     def test_record_rejects_non_object(self):
         with pytest.raises(ValueError):
             CycleColoring.from_record([3, 3, [1, 2, 3]])
