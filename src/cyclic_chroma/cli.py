@@ -51,6 +51,13 @@ class PlainIntType(click.ParamType):
                 param,
                 ctx,
             )
+        # the limit exists from Python 3.10.7 on; 0 means no limit
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and len(value) > limit:
+            raise ValueError(
+                f"{param.human_readable_name} has {len(value)} digits, "
+                f"more than the {limit} this interpreter converts"
+            )
         return int(value)
 
 

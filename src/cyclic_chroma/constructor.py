@@ -63,7 +63,7 @@ def zigzag_staircase(n: int, t: int) -> CycleColoring:
         )
     _check_cap(n, "a witness")
     pad = (n - t) // 2
-    return CycleColoring(n, t, (1, 2) * pad + tuple(range(1, t + 1)))
+    return CycleColoring._trusted(n, t, (1, 2) * pad + tuple(range(1, t + 1)))
 
 
 def tent(n: int, t: int) -> CycleColoring:
@@ -83,8 +83,8 @@ def tent(n: int, t: int) -> CycleColoring:
     _check_cap(n, "a witness")
     pad = (n - (2 * t - 2)) // 2
     ascent = tuple(range(1, t + 1))
-    descent = tuple(range(t - 1, 1, -1))
-    return CycleColoring(n, t, ascent + descent + (1, 2) * pad)
+    # t-1..2, reusing the ascent's ints
+    return CycleColoring._trusted(n, t, ascent + ascent[t - 2 : 0 : -1] + (1, 2) * pad)
 
 
 def construct(n: int, t: int) -> CycleColoring:

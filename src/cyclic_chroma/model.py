@@ -2,8 +2,15 @@
 
 A cycle with n edges uses 1-based circular indexing: edge i joins vertices
 i and i+1 (vertex n+1 wraps to vertex 1), so vertex i is incident to edges
-i-1 and i (edge 0 wraps to edge n).  Colors are plain integers in [1, t].
+i-1 and i (edge 0 wraps to edge n).  Colors are integers in [1, t].
 All values are immutable and every operation is pure.
+
+The public ``CycleColoring(n, t, colors)`` constructor is the one strict
+boundary: n, t and every color must be ints (subclasses such as ``Parity``
+pass, ``bool`` is refused), n >= 3, t >= 1, there are n colors and each lies
+in [1, t].  ``CycleColoring._trusted(n, t, colors)`` skips every check and is
+for builders whose output is right by construction: its caller guarantees
+n >= 3, a tuple of length n and every color an int in [1, t].
 """
 
 from __future__ import annotations
@@ -52,15 +59,32 @@ class CycleColoring:
     colors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "colors", tuple(self.colors))
+        _require_int(self.n, "'n'")
+        _require_int(self.t, "'t'")
+        colors = tuple(self.colors)
+        object.__setattr__(self, "colors", colors)
+        # one C-level pass over the entry types; the loop that names the
+        # first bad entry runs only when some entry is not a plain int
+        if not {int}.issuperset(map(type, colors)):
+            for x in colors:
+                _require_int(x, "'colors' entry")
         if self.n < 3:
             raise ValueError(f"a simple cycle needs n >= 3 edges, got n={self.n}")
         if self.t < 1:
             raise ValueError(f"color count must be >= 1, got t={self.t}")
-        if len(self.colors) != self.n:
-            raise ValueError(f"expected {self.n} edge colors, got {len(self.colors)}")
-        if min(self.colors) < 1 or max(self.colors) > self.t:
+        if len(colors) != self.n:
+            raise ValueError(f"expected {self.n} edge colors, got {len(colors)}")
+        if min(colors) < 1 or max(colors) > self.t:
             raise ValueError(f"edge colors must lie in [1, {self.t}]")
+
+    @classmethod
+    def _trusted(cls, n: int, t: int, colors: tuple[int, ...]) -> CycleColoring:
+        """Build with no check; the caller guarantees what the module doc names."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "n", n)
+        object.__setattr__(c, "t", t)
+        object.__setattr__(c, "colors", colors)
+        return c
 
     def edge_color(self, i: int) -> int:
         """Color of edge i, 1-based and circular (edge 0 means edge n)."""
@@ -82,16 +106,12 @@ class CycleColoring:
         if missing:
             raise ValueError(f"coloring record missing fields: {sorted(missing)}")
         n, t, colors = data["n"], data["t"], data["colors"]
-        _require_int(n, "'n'")
-        _require_int(t, "'t'")
         if not isinstance(colors, (list, tuple)):
+            # a bad n or t is reported first, as the constructor does
+            _require_int(n, "'n'")
+            _require_int(t, "'t'")
             raise ValueError("'colors' must be an array of integers")
-        # one C-level pass over the entry types; the loop that names the
-        # first bad entry runs only when some entry is not a plain int
-        if not {int}.issuperset(map(type, colors)):
-            for x in colors:
-                _require_int(x, "'colors' entry")
-        return cls(n, t, tuple(colors))
+        return cls(n, t, colors)
 
 
 def epsilon(k: int) -> int:
@@ -203,12 +223,16 @@ def rotate_edges(c: CycleColoring, offset: int) -> CycleColoring:
         raise ValueError(f"rotation offset must lie in [0, {c.n - 1}], got {offset}")
     if offset == 0:
         return c
-    return CycleColoring(c.n, c.t, c.colors[offset:] + c.colors[:offset])
+    return CycleColoring._trusted(c.n, c.t, c.colors[offset:] + c.colors[:offset])
 
 
 def shift_colors(c: CycleColoring, delta: int) -> CycleColoring:
-    """Advance every color by delta around the color circle 1..t."""
-    d = delta % c.t
+    """Advance every color by delta around the color circle 1..t.
+
+    delta must be an integer (TypeError otherwise), so every color stays one.
+    """
+    d = operator.index(delta) % c.t
     if d == 0:
         return c
-    return CycleColoring(c.n, c.t, tuple((x - 1 + d) % c.t + 1 for x in c.colors))
+    colors = tuple((x - 1 + d) % c.t + 1 for x in c.colors)
+    return CycleColoring._trusted(c.n, c.t, colors)

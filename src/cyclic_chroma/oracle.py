@@ -145,7 +145,7 @@ def enumerate_colorings(
     _check_search_args(n, t)
     out: list[CycleColoring] = []
     for colors in _walks(n, t, cfg):
-        out.append(CycleColoring(n, t, colors))
+        out.append(CycleColoring._trusted(n, t, colors))
         if cfg.limit is not None and len(out) >= cfg.limit:
             break
     return out

@@ -390,6 +390,12 @@ class TestNumericParsing:
         assert result.stderr.startswith("error: ")
         assert result.stderr.count("\n") == 1
 
+    def test_digit_limit_refusal_names_the_argument(self, runner):
+        result = runner.invoke(main, ["theta", "1" * 5000])
+        assert result.exit_code == 2
+        assert "N has 5000 digits" in result.stderr
+        assert "sys." not in result.stderr
+
     def test_plain_zero_parses_but_fails_range(self, runner):
         result = runner.invoke(main, ["theta", "0"])
         assert result.exit_code == 2

@@ -1,3 +1,4 @@
+import json
 from decimal import Decimal
 from fractions import Fraction
 
@@ -203,6 +204,31 @@ class TestCycleColoring:
         with pytest.raises(ValueError):
             CycleColoring(3, 0, (1, 1, 1))
 
+    @pytest.mark.parametrize(
+        "colors, shown",
+        [((True, 2, 3), "True"), ((1, 2, 3.0), "3.0"), ((1.5, 2, 3), "1.5")],
+    )
+    def test_names_the_first_non_int_color(self, colors, shown):
+        with pytest.raises(ValueError) as info:
+            CycleColoring(3, 3, colors)
+        assert str(info.value) == f"'colors' entry must be an integer, got {shown}"
+
+    @pytest.mark.parametrize(
+        "n, t, colors, message",
+        [
+            (3.5, 3, (1, 2, 3), "'n' must be an integer, got 3.5"),
+            (3, 3.0, (1, 2, 3), "'t' must be an integer, got 3.0"),
+            (3, True, (1, 1, 1), "'t' must be an integer, got True"),
+        ],
+    )
+    def test_refuses_non_int_sizes(self, n, t, colors, message):
+        with pytest.raises(ValueError) as info:
+            CycleColoring(n, t, colors)
+        assert str(info.value) == message
+
+    def test_accepts_int_subclass_colors(self):
+        assert CycleColoring(3, 3, (Parity.ODD, 2, 3)).colors == (1, 2, 3)
+
     def test_edge_color_wraps(self):
         c = coloring([1, 2, 1, 2, 3])
         assert c.edge_color(1) == 1
@@ -246,6 +272,30 @@ class TestCycleColoring:
     def test_record_rejects_non_object(self):
         with pytest.raises(ValueError):
             CycleColoring.from_record([3, 3, [1, 2, 3]])
+
+
+# mostly small ints, so that many drawn colorings are accepted, mixed with
+# values that compare like ints but are not plain ints
+_entries = st.one_of(
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.sampled_from([True, False, 2.0, 1.5, Parity.ODD, Parity.EVEN, "2", None]),
+)
+
+
+@given(
+    st.lists(_entries, min_size=3, max_size=6),
+    st.none() | _entries,
+    st.just(4) | _entries,
+)
+def test_accepted_colorings_round_trip_through_json(colors, n, t):
+    n = len(colors) if n is None else n
+    try:
+        c = CycleColoring(n, t, colors)
+    except ValueError:
+        return
+    again = CycleColoring.from_record(json.loads(json.dumps(c.to_record())))
+    assert again == c
 
 
 class TestRotateEdges:

@@ -13,3 +13,34 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+TRUSTED_CALLERS = {
+    ("constructor.py", "zigzag_staircase"),
+    ("constructor.py", "tent"),
+    ("model.py", "rotate_edges"),
+    ("model.py", "shift_colors"),
+    ("oracle.py", "enumerate_colorings"),
+}
+
+
+def _trusted_references(node, where, out):
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = node.name
+    if isinstance(node, ast.Attribute) and node.attr == "_trusted":
+        out.add(where)
+    if isinstance(node, ast.Name) and node.id == "_trusted":
+        out.add(where)
+    for child in ast.iter_child_nodes(node):
+        _trusted_references(child, where, out)
+
+
+def test_unchecked_colorings_come_from_the_known_builders():
+    # CycleColoring._trusted skips every check, so only builders whose
+    # output is in range by construction may call it
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        callers = set()
+        _trusted_references(ast.parse(path.read_text(), str(path)), "<module>", callers)
+        found |= {(str(path.relative_to(SRC)), name) for name in callers}
+    assert found == TRUSTED_CALLERS
