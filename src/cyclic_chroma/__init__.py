@@ -4,118 +4,19 @@ Closed-form feasibility, deterministic witness construction, validity
 checking, and an exhaustive-search oracle for cross-validation.
 """
 
-from .characterization import (
-    MATERIALIZE_CAP,
-    PROVENANCE_FORMULA,
-    PROVENANCE_SEARCH,
-    ThetaSet,
-    bounds_cyc,
-    chi_prime,
-    contains,
-    forbidden_set,
-    theta_cyclic,
-    theta_interval,
-)
-from .constructor import (
-    REASON_FORBIDDEN,
-    REASON_PATTERN,
-    REASON_RANGE,
-    Infeasible,
-    construct,
-    tent,
-    zigzag_staircase,
-)
-from .model import (
-    CycleColoring,
-    Parity,
-    epsilon,
-    parity_filter,
-    rotate_edges,
-    sgn_nat,
-    shift_colors,
-)
-from .oracle import (
-    DEFAULT_MAX_N,
-    MAX_N_ENV_VAR,
-    ComponentSpan,
-    ProofDecomposition,
-    SearchBoundExceeded,
-    SearchConfig,
-    count_colorings,
-    decompose,
-    enumerate_colorings,
-    exists_search,
-    search_bound,
-    theta_by_search,
-)
-from .verifier import (
-    CYCLIC,
-    INTERVAL,
-    MODES,
-    NOT_CYCLIC_INTERVAL,
-    NOT_INTERVAL,
-    NOT_PROPER,
-    VerificationReport,
-    Violation,
-    is_proper,
-    is_surjective,
-    palette_cyclically_ok,
-    u_set,
-    verify,
-    vertex_palette,
-)
+from . import characterization, constructor, model, oracle, verifier
+from .characterization import *
+from .constructor import *
+from .model import *
+from .oracle import *
+from .verifier import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CYCLIC",
-    "ComponentSpan",
-    "CycleColoring",
-    "DEFAULT_MAX_N",
-    "INTERVAL",
-    "Infeasible",
-    "MATERIALIZE_CAP",
-    "MAX_N_ENV_VAR",
-    "MODES",
-    "NOT_CYCLIC_INTERVAL",
-    "NOT_INTERVAL",
-    "NOT_PROPER",
-    "Parity",
-    "PROVENANCE_FORMULA",
-    "PROVENANCE_SEARCH",
-    "ProofDecomposition",
-    "REASON_FORBIDDEN",
-    "REASON_PATTERN",
-    "REASON_RANGE",
-    "SearchBoundExceeded",
-    "SearchConfig",
-    "ThetaSet",
-    "VerificationReport",
-    "Violation",
-    "bounds_cyc",
-    "chi_prime",
-    "construct",
-    "contains",
-    "count_colorings",
-    "decompose",
-    "enumerate_colorings",
-    "epsilon",
-    "exists_search",
-    "forbidden_set",
-    "is_proper",
-    "is_surjective",
-    "palette_cyclically_ok",
-    "parity_filter",
-    "rotate_edges",
-    "search_bound",
-    "sgn_nat",
-    "shift_colors",
-    "tent",
-    "theta_by_search",
-    "theta_cyclic",
-    "theta_interval",
-    "u_set",
-    "verify",
-    "vertex_palette",
-    "zigzag_staircase",
+    *model.__all__,
+    *characterization.__all__,
+    *constructor.__all__,
+    *verifier.__all__,
+    *oracle.__all__,
 ]

@@ -17,11 +17,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 
-from .model import RangeSet, _int_between, epsilon
+from .model import RangeSet, _check_n, _int_between, epsilon
 
 __all__ = [
-    "PROVENANCE_FORMULA",
-    "PROVENANCE_SEARCH",
     "MATERIALIZE_CAP",
     "ThetaSet",
     "chi_prime",
@@ -110,11 +108,6 @@ def _check_span(n: int, least: int, greatest: int) -> None:
         raise ValueError(f"members must lie in [2, {n}]")
 
 
-def _check_n(n: int, least: int = 3) -> None:
-    if n < least:
-        raise ValueError(f"cycle size must be >= {least}, got {n}")
-
-
 def _check_cap(n: int, what: str) -> None:
     if n > MATERIALIZE_CAP:
         raise ValueError(
@@ -130,8 +123,8 @@ def chi_prime(n: int) -> int:
 
 
 def _gap(n: int) -> range:
-    """forbidden_set(n) as a progression of step 2 ending at n-1 (n >= 5)."""
-    _check_n(n, 5)
+    """forbidden_set(n) as a progression of step 2 ending at n-1; empty for n < 5."""
+    _check_n(n)
     if n % 2 == 1:
         return range(4, n, 2)
     half = n // 2
@@ -139,9 +132,10 @@ def _gap(n: int) -> range:
 
 
 def forbidden_set(n: int) -> RangeSet:
-    """Color counts in [chi', n] admitting no cyclic-mode coloring (n >= 5).
+    """Color counts in [chi', n] admitting no cyclic-mode coloring (n >= 3).
 
     Odd n: the even t in [4, n-1].  Even n: the odd t in [n/2+2+eps(n/2), n-1].
+    Both ranges are empty for n = 3 and 4, so the set is empty there.
     A read-only RangeSet over _gap(n): O(1) to build, ``in`` and ``len``,
     for every n; it compares equal to the plain set of its members.
     """

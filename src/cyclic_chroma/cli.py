@@ -29,8 +29,8 @@ from .model import CycleColoring
 from .oracle import (
     _PLAIN_INT,
     SearchBoundExceeded,
+    _decompose_verified,
     count_colorings,
-    decompose as decompose_coloring,
     exists_search,
     theta_by_search,
 )
@@ -168,7 +168,6 @@ def main() -> None:
 @click.option("--json", "as_json", is_flag=True, help="Emit a JSON object.")
 def theta(n: int, mode: str, as_json: bool) -> None:
     """Print every feasible color count for the N-edge cycle."""
-    _require(n >= 3, "N must be at least 3")
     ts = theta_cyclic(n) if mode == CYCLIC else theta_interval(n)
     if as_json:
         obj: dict = {
@@ -195,7 +194,6 @@ def theta(n: int, mode: str, as_json: bool) -> None:
 @click.option("--json", "as_json", is_flag=True, help="Emit a JSON object.")
 def make(n: int, t: int, as_json: bool) -> None:
     """Emit the canonical witness coloring for (N, T), or why none exists."""
-    _require(n >= 3, "N must be at least 3")
     try:
         coloring = construct(n, t)
     except Infeasible as exc:
@@ -258,7 +256,6 @@ def oracle(
     as_json: bool,
 ) -> None:
     """Exhaustively decide feasibility for each T in [TMIN, TMAX]."""
-    _require(n >= 3, "N must be at least 3")
     if tmax is None:
         tmax = n
     _require(1 <= tmin <= tmax <= n, "need 1 <= tmin <= tmax <= N")
@@ -324,12 +321,11 @@ def table(nmax: int, oracle_upto: int | None, fmt: str, as_json: bool) -> None:
     rows: list[dict] = []
     for n in range(3, nmax + 1):
         theta_formula = theta_cyclic(n).members
-        gap = list(forbidden_set(n)) if n >= 5 else []
         row: dict = {
             "n": n,
             "chi": chi_prime(n),
             "theta": list(theta_formula),
-            "forbidden": gap,
+            "forbidden": list(forbidden_set(n)),
         }
         if with_oracle and n <= oracle_upto:
             found = theta_by_search(n, CYCLIC).members
@@ -356,18 +352,15 @@ def table(nmax: int, oracle_upto: int | None, fmt: str, as_json: bool) -> None:
 def decompose(src: str | None, as_json: bool) -> None:
     """Structure report for a valid coloring: boundary runs, gaps, size identity."""
     coloring = _read_coloring(src)
-    try:
-        d = decompose_coloring(coloring)
-    except ValueError:
-        # decompose refuses exactly the colorings that fail cyclic verify;
-        # verify again only to report why
-        report = verify(coloring, CYCLIC)
+    report = verify(coloring, CYCLIC)
+    if not report.mode_satisfied:
         if as_json:
             click.echo(_dumps(report.to_json_dict()))
         else:
             click.echo("not a valid cyclic-mode coloring:")
             _echo_violations(report)
         sys.exit(1)
+    d = _decompose_verified(coloring)
     if as_json:
         click.echo(_dumps(d.to_json_dict()))
         return

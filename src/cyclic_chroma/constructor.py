@@ -12,8 +12,8 @@ Two canonical patterns cover the whole feasibility region:
 
 from __future__ import annotations
 
-from .characterization import _check_cap, _check_n, _gap, chi_prime, contains
-from .model import CycleColoring
+from .characterization import _check_cap, _gap, chi_prime, contains
+from .model import CycleColoring, _check_n, _require_int
 
 __all__ = [
     "REASON_RANGE",
@@ -46,13 +46,20 @@ class Infeasible(Exception):
         self.message = message
 
 
+def _check_size_args(n: int, t: int) -> None:
+    # the public constructor's type rule, before the unchecked build
+    _require_int(n, "'n'")
+    _require_int(t, "'t'")
+    _check_n(n)
+
+
 def zigzag_staircase(n: int, t: int) -> CycleColoring:
     """Alternating (1,2) prefix of length n-t, then the ascent 1..t.
 
     Requires chi'(n) <= t <= n with n-t even; refuses n above
     MATERIALIZE_CAP with ValueError.
     """
-    _check_n(n)
+    _check_size_args(n, t)
     chi = chi_prime(n)
     if not (chi <= t <= n) or (n - t) % 2 != 0:
         raise Infeasible(
@@ -72,7 +79,7 @@ def tent(n: int, t: int) -> CycleColoring:
     Requires even n and 2 <= t <= n/2+1; the result is interval-valid.
     Refuses n above MATERIALIZE_CAP with ValueError.
     """
-    _check_n(n)
+    _check_size_args(n, t)
     if n % 2 != 0 or not (2 <= t <= n // 2 + 1):
         raise Infeasible(
             n,
@@ -95,7 +102,7 @@ def construct(n: int, t: int) -> CycleColoring:
     input always yields the identical coloring.  A feasible n above
     MATERIALIZE_CAP is refused with ValueError, after the Infeasible checks.
     """
-    _check_n(n)
+    _check_size_args(n, t)
     if not contains(n, t):
         chi = chi_prime(n)
         if t < chi or t > n:

@@ -7,10 +7,12 @@ All values are immutable and every operation is pure.
 
 The public ``CycleColoring(n, t, colors)`` constructor is the one strict
 boundary: n, t and every color must be ints (subclasses such as ``Parity``
-pass, ``bool`` is refused), n >= 3, t >= 1, there are n colors and each lies
-in [1, t].  ``CycleColoring._trusted(n, t, colors)`` skips every check and is
-for builders whose output is right by construction: its caller guarantees
-n >= 3, a tuple of length n and every color an int in [1, t].
+pass, ``bool`` is refused), n >= 3 (``_check_n``), 1 <= t <= n since a
+coloring uses all t colors on n edges (``_check_t``), there are n colors and
+each lies in [1, t]; every module checks sizes by those two rules.
+``CycleColoring._trusted(n, t, colors)`` skips every check and is for
+builders whose output is right by construction: its caller guarantees
+n >= 3, 1 <= t <= n, a tuple of length n and every color an int in [1, t].
 """
 
 from __future__ import annotations
@@ -47,6 +49,17 @@ def _require_int(value: object, label: str) -> None:
         raise ValueError(f"{label} must be an integer, got {value!r}")
 
 
+def _check_n(n: int) -> None:
+    # a comparison only: the closed forms call this on their hot path
+    if n < 3:
+        raise ValueError(f"cycle size must be >= 3, got {n}")
+
+
+def _check_t(n: int, t: int) -> None:
+    if not 1 <= t <= n:
+        raise ValueError(f"color count must lie in [1, {n}], got t={t}")
+
+
 @dataclass(frozen=True)
 class CycleColoring:
     """Colors 1..t assigned to the n edges of a simple cycle.
@@ -68,10 +81,8 @@ class CycleColoring:
         if not {int}.issuperset(map(type, colors)):
             for x in colors:
                 _require_int(x, "'colors' entry")
-        if self.n < 3:
-            raise ValueError(f"a simple cycle needs n >= 3 edges, got n={self.n}")
-        if self.t < 1:
-            raise ValueError(f"color count must be >= 1, got t={self.t}")
+        _check_n(self.n)
+        _check_t(self.n, self.t)
         if len(colors) != self.n:
             raise ValueError(f"expected {self.n} edge colors, got {len(colors)}")
         if min(colors) < 1 or max(colors) > self.t:

@@ -17,8 +17,8 @@ from itertools import compress, count, repeat
 from operator import add, eq, ne, sub
 from typing import Iterator, NamedTuple
 
-from .characterization import PROVENANCE_SEARCH, ThetaSet, _check_n
-from .model import CycleColoring
+from .characterization import PROVENANCE_SEARCH, ThetaSet
+from .model import CycleColoring, _check_n, _check_t
 from .verifier import CYCLIC, _check_mode, _new_tuple, _steps, verify
 
 __all__ = [
@@ -38,6 +38,9 @@ __all__ = [
 
 DEFAULT_MAX_N = 14
 MAX_N_ENV_VAR = "CYCLIC_CHROMA_MAX_N"
+# The DFS nests one generator per edge, so a deeper search would exhaust the
+# interpreter's recursion limit (about 1,000 frames) instead of answering.
+_MAX_N_CEILING = 500
 
 _PLAIN_INT = re.compile(r"^(0|[1-9][0-9]*)$")
 
@@ -47,7 +50,7 @@ class SearchBoundExceeded(Exception):
 
 
 def search_bound() -> int:
-    """Current search bound: CYCLIC_CHROMA_MAX_N when set, else 14."""
+    """Current search bound: CYCLIC_CHROMA_MAX_N (at most 500) when set, else 14."""
     raw = os.environ.get(MAX_N_ENV_VAR)
     if raw is None:
         return DEFAULT_MAX_N
@@ -56,7 +59,12 @@ def search_bound() -> int:
             f"{MAX_N_ENV_VAR} must be an unsigned integer without "
             f"leading zeros, got {raw!r}"
         )
-    return int(raw)
+    bound = int(raw)
+    if bound > _MAX_N_CEILING:
+        raise ValueError(
+            f"{MAX_N_ENV_VAR} must be at most {_MAX_N_CEILING}, got {bound}"
+        )
+    return bound
 
 
 @dataclass(frozen=True)
@@ -90,8 +98,7 @@ def _check_search_args(n: int, t: int) -> None:
             f"n={n} exceeds the search bound {bound} "
             f"(set {MAX_N_ENV_VAR} to raise it)"
         )
-    if not 1 <= t <= n:
-        raise ValueError(f"color count must lie in [1, {n}], got t={t}")
+    _check_t(n, t)
 
 
 def _walks(n: int, t: int, cfg: SearchConfig) -> Iterator[tuple[int, ...]]:
@@ -254,6 +261,11 @@ def decompose(c: CycleColoring) -> ProofDecomposition:
     """
     if not verify(c, CYCLIC).mode_satisfied:
         raise ValueError("decompose requires a valid cyclic-mode coloring")
+    return _decompose_verified(c)
+
+
+def _decompose_verified(c: CycleColoring) -> ProofDecomposition:
+    """decompose(c) for a coloring the caller has verified in cyclic mode."""
     n, t, colors = c.n, c.t, c.colors
     kept = bytes(map({1, t}.__contains__, colors))
     u_size = n - kept.count(1)

@@ -17,7 +17,6 @@ from .model import CycleColoring
 __all__ = [
     "INTERVAL",
     "CYCLIC",
-    "MODES",
     "NOT_PROPER",
     "NOT_INTERVAL",
     "NOT_CYCLIC_INTERVAL",

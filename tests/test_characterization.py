@@ -55,11 +55,13 @@ class TestForbiddenSet:
         assert forbidden_set(12) == {9, 11}
 
     def test_domain(self):
+        # no t in [chi', n] is forbidden for n = 3 and 4
+        assert forbidden_set(3) == forbidden_set(4) == set()
         with pytest.raises(ValueError):
-            forbidden_set(4)
+            forbidden_set(2)
 
     def test_matches_search(self):
-        for n in range(5, 11):
+        for n in range(3, 11):
             gap = {
                 t
                 for t in range(chi_prime(n), n + 1)
@@ -68,7 +70,7 @@ class TestForbiddenSet:
             assert gap == forbidden_set(n)
 
     def test_equals_the_set_of_the_gap(self):
-        sizes = list(range(5, 2001))
+        sizes = list(range(3, 2001))
         sizes += [MATERIALIZE_CAP - 2, MATERIALIZE_CAP - 1, MATERIALIZE_CAP]
         for n in sizes:
             gap = forbidden_set(n)

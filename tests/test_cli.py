@@ -132,6 +132,20 @@ class TestCheck:
         assert result.stderr.startswith("error: ")
         assert result.stderr.count("\n") == 1
 
+    def test_more_colors_than_edges_refused(self, runner):
+        # t is compared with n, not enumerated, whatever its size
+        result = runner.invoke(
+            main,
+            ["check", "--json"],
+            input='{"n":3,"t":1000000000000000000,"colors":[1,2,3]}',
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: bad coloring record: color count must lie in [1, 3], "
+            "got t=1000000000000000000\n"
+        )
+
     def test_undecodable_file(self, runner, tmp_path):
         path = tmp_path / "coloring.json"
         path.write_bytes(b"\xff\xfe{}")
@@ -208,6 +222,27 @@ class TestOracle:
             "leading zeros, got 'abc'\n"
         )
         assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    def test_env_bound_at_the_ceiling(self, runner):
+        result = runner.invoke(
+            main,
+            ["oracle", "500", "--tmin", "2", "--tmax", "2", "--count"],
+            env={"CYCLIC_CHROMA_MAX_N": "500"},
+        )
+        assert result.exit_code == 0
+        assert result.output == "t=2 yes count=2\n"
+
+    def test_env_bound_above_the_ceiling_refused(self, runner):
+        result = runner.invoke(
+            main,
+            ["oracle", "501", "--tmin", "2", "--tmax", "2"],
+            env={"CYCLIC_CHROMA_MAX_N": "501"},
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: CYCLIC_CHROMA_MAX_N must be at most 500, got 501\n"
+        )
 
     def test_interval_set_above_cap_refused(self, runner):
         result = runner.invoke(
@@ -364,6 +399,21 @@ class TestDecompose:
         assert result.exit_code == 0
         assert calls == ["cyclic"]
 
+    def test_invalid_coloring_verified_once(self, runner, monkeypatch):
+        calls = []
+
+        def counting(c, mode):
+            calls.append(mode)
+            return verifier.verify(c, mode)
+
+        monkeypatch.setattr(cli, "verify", counting)
+        monkeypatch.setattr(oracle, "verify", counting)
+        result = runner.invoke(
+            main, ["decompose"], input='{"n":4,"t":4,"colors":[1,3,2,4]}'
+        )
+        assert result.exit_code == 1
+        assert calls == ["cyclic"]
+
     def test_json(self, runner):
         result = runner.invoke(
             main, ["decompose", "--json"], input='{"n":7,"t":5,"colors":[1,2,1,2,3,4,5]}'
@@ -375,6 +425,14 @@ class TestDecompose:
         assert data["psi"] == [1, 5, 2, 3]
         assert data["psi_sum"] == 11
         assert data["psi_identity_ok"] is True
+
+
+@pytest.mark.parametrize("argv", [["theta", "2"], ["make", "2", "2"], ["oracle", "2"]])
+def test_cycle_too_small_refused_by_the_library(runner, argv):
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: cycle size must be >= 3, got 2\n"
 
 
 class TestNumericParsing:

@@ -56,6 +56,7 @@ stdins = st.one_of(
             '{"n":4,"t":3,"colors":[1,2,1,3]}',
             '{"n":4,"t":4,"colors":[1,3,2,4]}',
             '{"n":7,"t":5,"colors":[1,2,1,2,3,4,5]}',
+            '{"n":3,"t":1000000000000000000,"colors":[1,2,3]}',
             '{"n":4,"t":3,"colors":[1,2,1,' + "9" * 5000 + "]}",
             "[" * 50_000 + "]" * 50_000,
         ]

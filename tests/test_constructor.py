@@ -1,3 +1,4 @@
+import numpy
 import pytest
 
 from cyclic_chroma import (
@@ -123,6 +124,26 @@ class TestConstruct:
     def test_domain(self):
         with pytest.raises(ValueError):
             construct(2, 2)
+
+    @pytest.mark.parametrize("build", [construct, zigzag_staircase, tent])
+    @pytest.mark.parametrize(
+        "n, t",
+        [
+            (numpy.int64(6), 4),
+            (6, numpy.int64(4)),
+            (6.0, 4),
+            (6, 4.0),
+            (6, 5.0),
+            (True, 3),
+            (6, True),
+        ],
+    )
+    def test_refuses_non_int_sizes(self, build, n, t):
+        # the public constructor's rule, checked before the unchecked build
+        label, bad = ("'n'", n) if type(n) is not int else ("'t'", t)
+        with pytest.raises(ValueError) as info:
+            build(n, t)
+        assert str(info.value) == f"{label} must be an integer, got {bad!r}"
 
     def test_deterministic(self):
         assert construct(12, 7) == construct(12, 7)

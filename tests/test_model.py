@@ -1,4 +1,5 @@
 import json
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -203,6 +204,14 @@ class TestCycleColoring:
     def test_bad_t(self):
         with pytest.raises(ValueError):
             CycleColoring(3, 0, (1, 1, 1))
+
+    def test_t_above_n(self):
+        # a proper coloring uses all t colors on its n edges, so t <= n
+        message = "color count must lie in [1, 3], got t=4"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CycleColoring(3, 4, (1, 2, 3))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CycleColoring.from_record({"n": 3, "t": 4, "colors": [1, 2, 3]})
 
     @pytest.mark.parametrize(
         "colors, shown",

@@ -78,6 +78,15 @@ class TestSearchBound:
         monkeypatch.setenv("CYCLIC_CHROMA_MAX_N", "16")
         assert exists_search(15, 3)
 
+    def test_env_ceiling(self, monkeypatch):
+        # the DFS nests one generator per edge: deeper would overflow the stack
+        monkeypatch.setenv("CYCLIC_CHROMA_MAX_N", "500")
+        assert search_bound() == 500
+        assert count_colorings(500, 2) == 2
+        monkeypatch.setenv("CYCLIC_CHROMA_MAX_N", "501")
+        with pytest.raises(ValueError, match="CYCLIC_CHROMA_MAX_N must be at most 500"):
+            search_bound()
+
     def test_env_rejects_junk(self, monkeypatch):
         monkeypatch.setenv("CYCLIC_CHROMA_MAX_N", "012")
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).parents[1] / "src" / "cyclic_chroma"
@@ -44,3 +45,34 @@ def test_unchecked_colorings_come_from_the_known_builders():
         _trusted_references(ast.parse(path.read_text(), str(path)), "<module>", callers)
         found |= {(str(path.relative_to(SRC)), name) for name in callers}
     assert found == TRUSTED_CALLERS
+
+
+LIBRARY_MODULES = ("model", "characterization", "constructor", "verifier", "oracle")
+
+
+def _top_level_definitions(path):
+    names = set()
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def test_each_public_name_is_listed_once_in_its_own_module():
+    # the package exports exactly the modules' lists, so a name is public
+    # only where it is defined
+    import cyclic_chroma
+
+    lists = [
+        importlib.import_module(f"cyclic_chroma.{name}").__all__
+        for name in LIBRARY_MODULES
+    ]
+    for name, public in zip(LIBRARY_MODULES, lists):
+        assert set(public) <= _top_level_definitions(SRC / f"{name}.py"), name
+    listed = [n for public in lists for n in public]
+    assert len(listed) == len(set(listed))
+    assert cyclic_chroma.__all__ == listed
