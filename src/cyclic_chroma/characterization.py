@@ -17,7 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 
-from .model import RangeSet, _check_n, _int_between, epsilon
+from .model import RangeSet, _check_n, _int_between, _show_int, epsilon
 
 __all__ = [
     "MATERIALIZE_CAP",
@@ -42,11 +42,15 @@ MATERIALIZE_CAP = 10**6
 class ThetaSet:
     """A finite set of feasible color counts for one cycle size.
 
-    Building one is O(len(members)): one built by hand has every member
-    checked, while the closed forms check only the ranges they are made of.
-    ``in`` is a binary search, O(log n), after a probe that is not an int is
-    mapped to the int it equals in O(1); iteration and ``len`` are those of
-    the ``members`` tuple.
+    ``ThetaSet(n, members, provenance)`` checks every member, O(len(members)),
+    and answers ``in`` by binary search, O(log n).  The closed forms hold
+    their members as at most two ranges instead, checked as ranges: building
+    one, ``in`` and ``len`` are O(1), and iteration walks the ranges.
+    ``members`` is the ascending tuple; a range-backed set builds it on first
+    access, O(len(members)), and keeps it.  A probe that is not an int is
+    mapped to the int it equals in O(1).  ``==``, ``hash`` and ``repr`` are
+    those of (n, members, provenance), so a formula set equals the set built
+    by hand with the same members.
     """
 
     n: int
@@ -54,19 +58,21 @@ class ThetaSet:
     provenance: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "members", tuple(self.members))
+        members = tuple(self.members)
+        object.__setattr__(self, "members", members)
         _check_provenance(self.provenance)
-        if any(b <= a for a, b in zip(self.members, self.members[1:])):
+        if any(b <= a for a, b in zip(members, members[1:])):
             raise ValueError("members must be strictly increasing")
-        if self.members:
-            _check_span(self.n, self.members[0], self.members[-1])
+        if members:
+            _check_span(self.n, members[0], members[-1])
+        object.__setattr__(self, "_parts", (members,) if members else ())
 
     @classmethod
     def _of_ranges(cls, n: int, provenance: str, *parts: range) -> ThetaSet:
         """The union of ascending ranges, each above the one before it.
 
-        Checks the ranges, not their members, so the only O(len) work is
-        building the tuple.
+        Checks the ranges, not their members, and keeps them: O(1) for a
+        fixed number of ranges, whatever their length.
         """
         _check_provenance(provenance)
         if any(r.step <= 0 for r in parts):
@@ -78,24 +84,43 @@ class ThetaSet:
             _check_span(n, parts[0][0], parts[-1][-1])
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "members", tuple(chain(*parts)))
         object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "_parts", parts)
         return self
 
+    def __getattr__(self, name: str):
+        # reached only for an attribute missing from the instance: a
+        # range-backed set has no ``members`` until it is first read
+        if name != "members":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}",
+                name=name,
+                obj=self,
+            )
+        members = tuple(chain.from_iterable(self._parts))
+        object.__setattr__(self, "members", members)
+        return members
+
     def __contains__(self, t: object) -> bool:
-        members = self.members
+        parts = self._parts
         if type(t) is not int:
-            t = _int_between(t, members[0], members[-1]) if members else None
+            t = _int_between(t, parts[0][0], parts[-1][-1]) if parts else None
             if t is None:
                 return False
-        i = bisect_left(members, t)
-        return i < len(members) and members[i] == t
+        for part in parts:
+            if type(part) is range:
+                if t in part:
+                    return True
+            else:  # the one ascending tuple of a set built by hand
+                i = bisect_left(part, t)
+                return i < len(part) and part[i] == t
+        return False
 
     def __iter__(self):
-        return iter(self.members)
+        return chain.from_iterable(self._parts)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return sum(map(len, self._parts))
 
 
 def _check_provenance(provenance: str) -> None:
@@ -105,13 +130,13 @@ def _check_provenance(provenance: str) -> None:
 
 def _check_span(n: int, least: int, greatest: int) -> None:
     if not (2 <= least and greatest <= n):
-        raise ValueError(f"members must lie in [2, {n}]")
+        raise ValueError(f"members must lie in [2, {_show_int(n)}]")
 
 
 def _check_cap(n: int, what: str) -> None:
     if n > MATERIALIZE_CAP:
         raise ValueError(
-            f"refusing to materialize {what} for n={n} "
+            f"refusing to materialize {what} for n={_show_int(n)} "
             f"(cap {MATERIALIZE_CAP}); use contains() for membership"
         )
 

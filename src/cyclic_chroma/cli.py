@@ -25,7 +25,7 @@ from .characterization import (
     theta_interval,
 )
 from .constructor import Infeasible, construct
-from .model import CycleColoring
+from .model import CycleColoring, _check_n
 from .oracle import (
     _PLAIN_INT,
     SearchBoundExceeded,
@@ -256,10 +256,12 @@ def oracle(
     as_json: bool,
 ) -> None:
     """Exhaustively decide feasibility for each T in [TMIN, TMAX]."""
+    _check_n(n)
     if tmax is None:
         tmax = n
     _require(1 <= tmin <= tmax <= n, "need 1 <= tmin <= tmax <= N")
-    interval_members = theta_interval(n).members if mode == INTERVAL else ()
+    # built first, so that n above the cap is refused as a feasible set
+    interval_set = theta_interval(n) if mode == INTERVAL else None
     rows: list[dict] = []
     for t in range(tmin, tmax + 1):
         if with_count:
@@ -269,7 +271,7 @@ def oracle(
             row = {"t": t, "exists": exists_search(n, t, mode)}
         if check_formula:
             row["formula"] = (
-                contains(n, t) if mode == CYCLIC else t in interval_members
+                contains(n, t) if mode == CYCLIC else t in interval_set
             )
         rows.append(row)
     agree = (

@@ -13,7 +13,7 @@ Two canonical patterns cover the whole feasibility region:
 from __future__ import annotations
 
 from .characterization import _check_cap, _gap, chi_prime, contains
-from .model import CycleColoring, _check_n, _require_int
+from .model import CycleColoring, _check_n, _require_int, _show_int
 
 __all__ = [
     "REASON_RANGE",
@@ -66,7 +66,8 @@ def zigzag_staircase(n: int, t: int) -> CycleColoring:
             n,
             t,
             REASON_PATTERN,
-            f"zigzag-staircase needs {chi} <= t <= {n} with n-t even, got t={t}",
+            f"zigzag-staircase needs {chi} <= t <= {_show_int(n)} with n-t even, "
+            f"got t={_show_int(t)}",
         )
     _check_cap(n, "a witness")
     pad = (n - t) // 2
@@ -85,7 +86,8 @@ def tent(n: int, t: int) -> CycleColoring:
             n,
             t,
             REASON_PATTERN,
-            f"tent needs even n and 2 <= t <= n/2+1, got n={n}, t={t}",
+            f"tent needs even n and 2 <= t <= n/2+1, "
+            f"got n={_show_int(n)}, t={_show_int(t)}",
         )
     _check_cap(n, "a witness")
     pad = (n - (2 * t - 2)) // 2
@@ -105,15 +107,23 @@ def construct(n: int, t: int) -> CycleColoring:
     _check_size_args(n, t)
     if not contains(n, t):
         chi = chi_prime(n)
+        shown_t, shown_n = _show_int(t), _show_int(n)
         if t < chi or t > n:
             raise Infeasible(
-                n, t, REASON_RANGE, f"t={t} outside [{chi},{n}] for C({n})"
+                n,
+                t,
+                REASON_RANGE,
+                f"t={shown_t} outside [{chi},{shown_n}] for C({shown_n})",
             )
         gap = _gap(n)
-        members = gap if len(gap) <= 3 else (gap[0], gap[1], "...", gap[-1])
-        shown = ",".join(map(str, members))
+        # len() of a range longer than sys.maxsize overflows; its slice's does not
+        members = gap if len(gap[:4]) <= 3 else (gap[0], gap[1], "...", gap[-1])
+        shown = ",".join(map(_show_int, members))
         raise Infeasible(
-            n, t, REASON_FORBIDDEN, f"t={t} in forbidden set {{{shown}}} of C({n})"
+            n,
+            t,
+            REASON_FORBIDDEN,
+            f"t={shown_t} in forbidden set {{{shown}}} of C({shown_n})",
         )
     if (n - t) % 2 == 0:
         return zigzag_staircase(n, t)

@@ -21,7 +21,7 @@ import operator
 from collections.abc import Set
 from dataclasses import dataclass
 from enum import IntEnum
-from math import trunc
+from math import log10, trunc
 
 __all__ = [
     "Parity",
@@ -49,15 +49,38 @@ def _require_int(value: object, label: str) -> None:
         raise ValueError(f"{label} must be an integer, got {value!r}")
 
 
+def _show_int(x: object) -> str:
+    """x for a message: str(x), or, for an int str() refuses, its digit count.
+
+    From Python 3.10.7 on, str() refuses an int longer than
+    sys.get_int_max_str_digits() digits; such an int is shown as, say,
+    "<a 5001-digit integer>", so a refusal still reports its own message.
+    """
+    try:
+        return str(x)
+    except ValueError:
+        pass
+    m = abs(x)
+    d = int(log10(m))  # floor(log10 m), or one off where the float rounds
+    if 10**d > m:
+        d -= 1
+    elif 10 ** (d + 1) <= m:
+        d += 1
+    sign = "negative " if x < 0 else ""
+    return f"<a {sign}{d + 1}-digit integer>"
+
+
 def _check_n(n: int) -> None:
     # a comparison only: the closed forms call this on their hot path
     if n < 3:
-        raise ValueError(f"cycle size must be >= 3, got {n}")
+        raise ValueError(f"cycle size must be >= 3, got {_show_int(n)}")
 
 
 def _check_t(n: int, t: int) -> None:
     if not 1 <= t <= n:
-        raise ValueError(f"color count must lie in [1, {n}], got t={t}")
+        raise ValueError(
+            f"color count must lie in [1, {_show_int(n)}], got t={_show_int(t)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -84,7 +107,9 @@ class CycleColoring:
         _check_n(self.n)
         _check_t(self.n, self.t)
         if len(colors) != self.n:
-            raise ValueError(f"expected {self.n} edge colors, got {len(colors)}")
+            raise ValueError(
+                f"expected {_show_int(self.n)} edge colors, got {len(colors)}"
+            )
         if min(colors) < 1 or max(colors) > self.t:
             raise ValueError(f"edge colors must lie in [1, {self.t}]")
 
@@ -128,7 +153,7 @@ class CycleColoring:
 def epsilon(k: int) -> int:
     """1 if k is even, 0 if k is odd (defined for k >= 1)."""
     if k < 1:
-        raise ValueError(f"epsilon is defined for k >= 1, got {k}")
+        raise ValueError(f"epsilon is defined for k >= 1, got {_show_int(k)}")
     return 1 + k // 2 - (k + 1) // 2
 
 
@@ -231,7 +256,9 @@ def parity_filter(lo: int, hi: int, p: Parity) -> RangeSet:
 def rotate_edges(c: CycleColoring, offset: int) -> CycleColoring:
     """Relabel edges so that the new edge 1 is the old edge offset+1."""
     if not 0 <= offset < c.n:
-        raise ValueError(f"rotation offset must lie in [0, {c.n - 1}], got {offset}")
+        raise ValueError(
+            f"rotation offset must lie in [0, {c.n - 1}], got {_show_int(offset)}"
+        )
     if offset == 0:
         return c
     return CycleColoring._trusted(c.n, c.t, c.colors[offset:] + c.colors[:offset])

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -26,6 +27,11 @@ from cyclic_chroma.characterization import _gap
 # checks affordable
 _RNG = random.Random(1405)
 LARGE_N = sorted({_RNG.randrange(1201, 10_001) for _ in range(150)})
+
+NON_INT_PROBES = [
+    2.0, 2.5, "3", Decimal("NaN"), Decimal(4), None, Fraction(4),
+    Fraction(9, 2), 4 + 0j, 4 + 1j, True, float("nan"), [], 1e300,
+]
 
 
 class TestChiPrime:
@@ -255,11 +261,7 @@ class TestThetaSet:
 
     def test_non_int_probes_answer_like_the_tuple(self):
         th = theta_cyclic(10)
-        probes = [
-            2.0, 2.5, "3", Decimal("NaN"), Decimal(4), None, Fraction(4),
-            Fraction(9, 2), 4 + 0j, 4 + 1j, True, float("nan"), [], 1e300,
-        ]
-        for x in probes:
+        for x in NON_INT_PROBES:
             assert (x in th) == (x in th.members), x
         assert 4.0 not in theta_interval(5)
 
@@ -286,6 +288,48 @@ class TestThetaSet:
             ThetaSet._of_ranges(6, "guess", range(2, 4))
         built = ThetaSet._of_ranges(8, "formula", range(2, 6), range(5, 5), range(6, 9, 2))
         assert built == ThetaSet(8, (2, 3, 4, 5, 6, 8), "formula")
+
+    @pytest.mark.parametrize("theta", [theta_cyclic, theta_interval])
+    def test_range_backed_sets_equal_the_sets_built_by_hand(self, theta):
+        sizes = list(range(3, 2001))
+        sizes += [MATERIALIZE_CAP - 2, MATERIALIZE_CAP - 1, MATERIALIZE_CAP]
+        for n in sizes:
+            # the theorem as stated: t of n's parity from chi'(n) to n, and for
+            # even n also [2, n/2+1]; interval mode keeps only the latter
+            low = set(range(2, n // 2 + 2)) if n % 2 == 0 else set()
+            ref = low
+            if theta is theta_cyclic:
+                ref = low | set(range(chi_prime(n), n + 1, 2))
+            formula, by_hand = theta(n), ThetaSet(n, tuple(sorted(ref)), "formula")
+            assert len(formula) == len(by_hand) and bool(formula) == bool(by_hand), n
+            assert list(formula) == list(by_hand), n
+            assert formula.members == by_hand.members, n
+            assert formula == by_hand and by_hand == formula, n
+            assert hash(formula) == hash(by_hand), n
+            assert repr(formula) == repr(by_hand), n
+            ints = range(-2, n + 3)
+            expected = list(map(ref.__contains__, ints))
+            assert list(map(formula.__contains__, ints)) == expected, n
+            if n < MATERIALIZE_CAP - 2:  # at the cap it adds time, not coverage
+                assert list(map(by_hand.__contains__, ints)) == expected, n
+            for x in NON_INT_PROBES:
+                assert (x in formula) == (x in by_hand), (n, x)
+
+    @pytest.mark.parametrize("theta", [theta_cyclic, theta_interval])
+    def test_members_built_once_and_only_when_read(self, theta):
+        theta(10)  # warm up: first calls may allocate caches of their own
+        tracemalloc.start()
+        try:
+            ts = theta(MATERIALIZE_CAP)
+            assert len(ts) > 0 and bool(ts) and 3 in ts and 2.0 in ts
+            assert next(iter(ts)) == 2
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096
+        members = ts.members
+        assert ts.members is members
+        assert len(members) == len(ts)
 
     def test_formula_sets_at_the_cap(self):
         for n in (MATERIALIZE_CAP - 2, MATERIALIZE_CAP - 1, MATERIALIZE_CAP):

@@ -1,6 +1,7 @@
 import importlib.metadata
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -251,6 +252,28 @@ class TestOracle:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr.startswith("error: refusing to materialize a feasible set")
+
+    def test_interval_mode_builds_no_members_tuple(self, runner):
+        argv = ["oracle", str(MATERIALIZE_CAP), "--mode", "interval"]
+        runner.invoke(main, argv)  # warm up: imports and caches of its own
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 2
+        assert result.stderr.startswith(
+            f"error: n={MATERIALIZE_CAP} exceeds the search bound"
+        )
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_small_n_refused_like_the_library(self, runner, n):
+        result = runner.invoke(main, ["oracle", str(n)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: cycle size must be >= 3, got {n}\n"
 
     def test_trange_validation(self, runner):
         result = runner.invoke(main, ["oracle", "6", "--tmin", "4", "--tmax", "2"])

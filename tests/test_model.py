@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -10,15 +11,23 @@ from hypothesis import strategies as st
 from counting_probe import CountingProbe, HashOnlyProbe
 
 from cyclic_chroma import (
+    MATERIALIZE_CAP,
     CycleColoring,
+    Infeasible,
     Parity,
+    SearchBoundExceeded,
+    SearchConfig,
+    construct,
     epsilon,
+    exists_search,
+    palette_cyclically_ok,
     parity_filter,
     rotate_edges,
     sgn_nat,
     shift_colors,
+    vertex_palette,
 )
-from cyclic_chroma.model import RangeSet
+from cyclic_chroma.model import RangeSet, _show_int
 
 
 def coloring(colors, t=None):
@@ -360,3 +369,102 @@ class TestShiftColors:
         shifted = shift_colors(c, delta)
         assert len(shifted.colors) == c.n
         assert all(1 <= x <= c.t for x in shifted.colors)
+
+
+# from Python 3.10.7 on, str() refuses an int longer than this many digits
+_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+HUGE = 10**5000
+
+
+def _shown(x: int, digits: int) -> str:
+    if not _STR_DIGITS:
+        return str(x)
+    return f"<a {'negative ' if x < 0 else ''}{digits}-digit integer>"
+
+
+class TestHugeIntsInMessages:
+    @pytest.mark.skipif(not _STR_DIGITS, reason="str() converts ints of any length")
+    def test_digit_count_past_the_str_limit(self):
+        assert _show_int(10**_STR_DIGITS - 1) == str(10**_STR_DIGITS - 1)
+        for k in (_STR_DIGITS, _STR_DIGITS + 1, 5000, 12_345, 40_000):
+            assert _show_int(10**k) == f"<a {k + 1}-digit integer>", k
+            assert _show_int(10 ** (k + 1) - 1) == f"<a {k + 1}-digit integer>", k
+            assert _show_int(-(10**k)) == f"<a negative {k + 1}-digit integer>", k
+
+    @pytest.mark.parametrize(
+        "n, t, message",
+        [
+            (3, HUGE, f"color count must lie in [1, 3], got t={_shown(HUGE, 5001)}"),
+            (HUGE, 3, f"expected {_shown(HUGE, 5001)} edge colors, got 3"),
+            (-HUGE, 3, f"cycle size must be >= 3, got {_shown(-HUGE, 5001)}"),
+        ],
+        ids=["huge-t", "huge-n", "huge-negative-n"],
+    )
+    def test_coloring_refusals(self, n, t, message):
+        with pytest.raises(ValueError) as info:
+            CycleColoring(n, t, (1, 2, 3))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda: epsilon(-HUGE),
+                f"epsilon is defined for k >= 1, got {_shown(-HUGE, 5001)}",
+            ),
+            (
+                lambda: rotate_edges(coloring([1, 2, 3]), HUGE),
+                f"rotation offset must lie in [0, 2], got {_shown(HUGE, 5001)}",
+            ),
+            (
+                lambda: vertex_palette(coloring([1, 2, 3]), HUGE),
+                f"vertex index must lie in [1, 3], got {_shown(HUGE, 5001)}",
+            ),
+            (
+                lambda: palette_cyclically_ok((1, HUGE), HUGE - 1),
+                f"palette colors must lie in [1, {_shown(HUGE - 1, 5000)}], "
+                f"got (1, {_shown(HUGE, 5001)})",
+            ),
+            (
+                lambda: SearchConfig(limit=-HUGE),
+                f"limit must be >= 1 when given, got {_shown(-HUGE, 5001)}",
+            ),
+        ],
+        ids=["epsilon", "rotate_edges", "vertex_palette", "palette", "search_limit"],
+    )
+    def test_argument_refusals(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+    def test_construct_refusals(self):
+        with pytest.raises(ValueError) as info:
+            construct(HUGE, 3)
+        assert str(info.value) == (
+            f"refusing to materialize a witness for n={_shown(HUGE, 5001)} "
+            f"(cap {MATERIALIZE_CAP}); use contains() for membership"
+        )
+        with pytest.raises(Infeasible) as info:
+            construct(7, HUGE)
+        assert info.value.message == f"t={_shown(HUGE, 5001)} outside [3,7] for C(7)"
+        with pytest.raises(Infeasible) as info:
+            construct(HUGE + 1, 4)
+        assert info.value.message == (
+            f"t=4 in forbidden set {{4,6,...,{_shown(HUGE, 5001)}}} "
+            f"of C({_shown(HUGE + 1, 5001)})"
+        )
+
+    def test_forbidden_set_longer_than_sys_maxsize(self):
+        n = 2**64 + 1
+        with pytest.raises(Infeasible) as info:
+            construct(n, 4)
+        assert info.value.message == (
+            f"t=4 in forbidden set {{4,6,...,{n - 1}}} of C({n})"
+        )
+
+    def test_search_bound_refusal(self):
+        with pytest.raises(SearchBoundExceeded) as info:
+            exists_search(HUGE, 3)
+        assert str(info.value).startswith(
+            f"n={_shown(HUGE, 5001)} exceeds the search bound"
+        )
