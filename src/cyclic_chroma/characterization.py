@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
 
 from .model import RangeSet, _check_n, _int_between, _show_int, epsilon
 
@@ -37,20 +36,35 @@ PROVENANCE_SEARCH = "search"
 # use contains() for membership queries beyond it.
 MATERIALIZE_CAP = 10**6
 
+# The ints 0, 1, ..., k-1, grown on demand and then kept; the capped closed
+# forms never grow it past MATERIALIZE_CAP + 1 ints (about 36 MiB on 64-bit
+# CPython).  A closed-form set slices its members out of this tuple, sharing
+# the int objects instead of allocating new ones.  Replaced whole, never
+# mutated, so a racing reader still gets a valid tuple.
+_INTS: tuple[int, ...] = ()
+
+
+def _ints_through(k: int) -> tuple[int, ...]:
+    """A tuple whose item i is the int i, for every i in [0, k]."""
+    global _INTS
+    ints = _INTS
+    if len(ints) <= k:
+        ints = tuple(range(max(k + 1, min(2 * len(ints), MATERIALIZE_CAP + 1))))
+        _INTS = ints
+    return ints
+
 
 @dataclass(frozen=True)
 class ThetaSet:
     """A finite set of feasible color counts for one cycle size.
 
-    ``ThetaSet(n, members, provenance)`` checks every member, O(len(members)),
-    and answers ``in`` by binary search, O(log n).  The closed forms hold
-    their members as at most two ranges instead, checked as ranges: building
-    one, ``in`` and ``len`` are O(1), and iteration walks the ranges.
-    ``members`` is the ascending tuple; a range-backed set builds it on first
-    access, O(len(members)), and keeps it.  A probe that is not an int is
-    mapped to the int it equals in O(1).  ``==``, ``hash`` and ``repr`` are
-    those of (n, members, provenance), so a formula set equals the set built
-    by hand with the same members.
+    Building one is O(len(members)): one built by hand has every member
+    checked, while the closed forms check only the ranges they are made of
+    and slice their members out of one shared tuple of ints, allocating no
+    int objects.
+    ``in`` is a binary search, O(log n), after a probe that is not an int is
+    mapped to the int it equals in O(1); iteration and ``len`` are those of
+    the ``members`` tuple.
     """
 
     n: int
@@ -58,21 +72,20 @@ class ThetaSet:
     provenance: str
 
     def __post_init__(self) -> None:
-        members = tuple(self.members)
-        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "members", tuple(self.members))
         _check_provenance(self.provenance)
-        if any(b <= a for a, b in zip(members, members[1:])):
+        if any(b <= a for a, b in zip(self.members, self.members[1:])):
             raise ValueError("members must be strictly increasing")
-        if members:
-            _check_span(self.n, members[0], members[-1])
-        object.__setattr__(self, "_parts", (members,) if members else ())
+        if self.members:
+            _check_span(self.n, self.members[0], self.members[-1])
 
     @classmethod
     def _of_ranges(cls, n: int, provenance: str, *parts: range) -> ThetaSet:
         """The union of ascending ranges, each above the one before it.
 
-        Checks the ranges, not their members, and keeps them: O(1) for a
-        fixed number of ranges, whatever their length.
+        Checks the ranges, not their members, so the only O(len) work is
+        copying the members' slices of the shared ints, which takes no new
+        int object.
         """
         _check_provenance(provenance)
         if any(r.step <= 0 for r in parts):
@@ -80,47 +93,32 @@ class ThetaSet:
         parts = tuple(r for r in parts if r)
         if any(a[-1] >= b[0] for a, b in zip(parts, parts[1:])):
             raise ValueError("members must be strictly increasing")
+        members: tuple[int, ...] = ()
         if parts:
             _check_span(n, parts[0][0], parts[-1][-1])
+            ints = _ints_through(parts[-1][-1])
+            for r in parts:
+                members += ints[r.start : r.stop : r.step]
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "members", members)
         object.__setattr__(self, "provenance", provenance)
-        object.__setattr__(self, "_parts", parts)
         return self
 
-    def __getattr__(self, name: str):
-        # reached only for an attribute missing from the instance: a
-        # range-backed set has no ``members`` until it is first read
-        if name != "members":
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}",
-                name=name,
-                obj=self,
-            )
-        members = tuple(chain.from_iterable(self._parts))
-        object.__setattr__(self, "members", members)
-        return members
-
     def __contains__(self, t: object) -> bool:
-        parts = self._parts
+        members = self.members
         if type(t) is not int:
-            t = _int_between(t, parts[0][0], parts[-1][-1]) if parts else None
+            t = _int_between(t, members[0], members[-1]) if members else None
             if t is None:
                 return False
-        for part in parts:
-            if type(part) is range:
-                if t in part:
-                    return True
-            else:  # the one ascending tuple of a set built by hand
-                i = bisect_left(part, t)
-                return i < len(part) and part[i] == t
-        return False
+        i = bisect_left(members, t)
+        return i < len(members) and members[i] == t
 
     def __iter__(self):
-        return chain.from_iterable(self._parts)
+        return iter(self.members)
 
     def __len__(self) -> int:
-        return sum(map(len, self._parts))
+        return len(self.members)
 
 
 def _check_provenance(provenance: str) -> None:
@@ -130,7 +128,7 @@ def _check_provenance(provenance: str) -> None:
 
 def _check_span(n: int, least: int, greatest: int) -> None:
     if not (2 <= least and greatest <= n):
-        raise ValueError(f"members must lie in [2, {_show_int(n)}]")
+        raise ValueError(f"members must lie in [2, {n}]")
 
 
 def _check_cap(n: int, what: str) -> None:

@@ -18,6 +18,7 @@ import click
 
 from . import __version__
 from .characterization import (
+    _check_cap,
     chi_prime,
     contains,
     forbidden_set,
@@ -260,8 +261,10 @@ def oracle(
     if tmax is None:
         tmax = n
     _require(1 <= tmin <= tmax <= n, "need 1 <= tmin <= tmax <= N")
-    # built first, so that n above the cap is refused as a feasible set
-    interval_set = theta_interval(n) if mode == INTERVAL else None
+    if mode == INTERVAL:
+        # refused above the cap like theta_interval(n), whose members are
+        # the t in [2, n/2+1] for even n: the test below, in O(1)
+        _check_cap(n, "a feasible set")
     rows: list[dict] = []
     for t in range(tmin, tmax + 1):
         if with_count:
@@ -271,7 +274,9 @@ def oracle(
             row = {"t": t, "exists": exists_search(n, t, mode)}
         if check_formula:
             row["formula"] = (
-                contains(n, t) if mode == CYCLIC else t in interval_set
+                contains(n, t)
+                if mode == CYCLIC
+                else n % 2 == 0 and 2 <= t <= n // 2 + 1
             )
         rows.append(row)
     agree = (

@@ -73,7 +73,7 @@ def _show_int(x: object) -> str:
 def _check_n(n: int) -> None:
     # a comparison only: the closed forms call this on their hot path
     if n < 3:
-        raise ValueError(f"cycle size must be >= 3, got {_show_int(n)}")
+        raise ValueError(f"cycle size must be >= 3, got {n}")
 
 
 def _check_t(n: int, t: int) -> None:
@@ -153,7 +153,7 @@ class CycleColoring:
 def epsilon(k: int) -> int:
     """1 if k is even, 0 if k is odd (defined for k >= 1)."""
     if k < 1:
-        raise ValueError(f"epsilon is defined for k >= 1, got {_show_int(k)}")
+        raise ValueError(f"epsilon is defined for k >= 1, got {k}")
     return 1 + k // 2 - (k + 1) // 2
 
 
@@ -256,9 +256,7 @@ def parity_filter(lo: int, hi: int, p: Parity) -> RangeSet:
 def rotate_edges(c: CycleColoring, offset: int) -> CycleColoring:
     """Relabel edges so that the new edge 1 is the old edge offset+1."""
     if not 0 <= offset < c.n:
-        raise ValueError(
-            f"rotation offset must lie in [0, {c.n - 1}], got {_show_int(offset)}"
-        )
+        raise ValueError(f"rotation offset must lie in [0, {c.n - 1}], got {offset}")
     if offset == 0:
         return c
     return CycleColoring._trusted(c.n, c.t, c.colors[offset:] + c.colors[:offset])

@@ -18,7 +18,7 @@ from operator import add, eq, ne, sub
 from typing import Iterator, NamedTuple
 
 from .characterization import PROVENANCE_SEARCH, ThetaSet
-from .model import CycleColoring, _check_n, _check_t, _show_int
+from .model import CycleColoring, _check_n, _check_t
 from .verifier import CYCLIC, _check_mode, _new_tuple, _steps, verify
 
 __all__ = [
@@ -78,9 +78,7 @@ class SearchConfig:
     def __post_init__(self) -> None:
         _check_mode(self.mode)
         if self.limit is not None and self.limit < 1:
-            raise ValueError(
-                f"limit must be >= 1 when given, got {_show_int(self.limit)}"
-            )
+            raise ValueError(f"limit must be >= 1 when given, got {self.limit}")
         if self.fix_first_color and self.mode != CYCLIC:
             raise ValueError("fix_first_color is only sound in cyclic mode")
 
@@ -97,7 +95,7 @@ def _check_search_args(n: int, t: int) -> None:
     bound = search_bound()
     if n > bound:
         raise SearchBoundExceeded(
-            f"n={_show_int(n)} exceeds the search bound {bound} "
+            f"n={n} exceeds the search bound {bound} "
             f"(set {MAX_N_ENV_VAR} to raise it)"
         )
     _check_t(n, t)

@@ -12,7 +12,7 @@ from itertools import count
 from operator import sub
 from typing import NamedTuple
 
-from .model import CycleColoring, _show_int
+from .model import CycleColoring
 
 __all__ = [
     "INTERVAL",
@@ -83,7 +83,7 @@ def _check_mode(mode: str) -> None:
 def vertex_palette(c: CycleColoring, i: int) -> tuple[int, int]:
     """The two colors incident to vertex i, as (edge i-1, edge i)."""
     if not 1 <= i <= c.n:
-        raise ValueError(f"vertex index must lie in [1, {c.n}], got {_show_int(i)}")
+        raise ValueError(f"vertex index must lie in [1, {c.n}], got {i}")
     return (c.colors[(i - 2) % c.n], c.colors[i - 1])
 
 
@@ -116,10 +116,7 @@ def palette_cyclically_ok(pair: tuple[int, int], t: int) -> bool:
     if a == b:
         raise ValueError("palette with a repeated color is never admissible")
     if not (1 <= a <= t and 1 <= b <= t):
-        raise ValueError(
-            f"palette colors must lie in [1, {_show_int(t)}], "
-            f"got ({_show_int(a)}, {_show_int(b)})"
-        )
+        raise ValueError(f"palette colors must lie in [1, {t}], got {pair}")
     return b - a in _steps(t, CYCLIC)
 
 

@@ -15,17 +15,12 @@ from cyclic_chroma import (
     CycleColoring,
     Infeasible,
     Parity,
-    SearchBoundExceeded,
-    SearchConfig,
     construct,
     epsilon,
-    exists_search,
-    palette_cyclically_ok,
     parity_filter,
     rotate_edges,
     sgn_nat,
     shift_colors,
-    vertex_palette,
 )
 from cyclic_chroma.model import RangeSet, _show_int
 
@@ -396,45 +391,12 @@ class TestHugeIntsInMessages:
         [
             (3, HUGE, f"color count must lie in [1, 3], got t={_shown(HUGE, 5001)}"),
             (HUGE, 3, f"expected {_shown(HUGE, 5001)} edge colors, got 3"),
-            (-HUGE, 3, f"cycle size must be >= 3, got {_shown(-HUGE, 5001)}"),
         ],
-        ids=["huge-t", "huge-n", "huge-negative-n"],
+        ids=["huge-t", "huge-n"],
     )
     def test_coloring_refusals(self, n, t, message):
         with pytest.raises(ValueError) as info:
             CycleColoring(n, t, (1, 2, 3))
-        assert str(info.value) == message
-
-    @pytest.mark.parametrize(
-        "call, message",
-        [
-            (
-                lambda: epsilon(-HUGE),
-                f"epsilon is defined for k >= 1, got {_shown(-HUGE, 5001)}",
-            ),
-            (
-                lambda: rotate_edges(coloring([1, 2, 3]), HUGE),
-                f"rotation offset must lie in [0, 2], got {_shown(HUGE, 5001)}",
-            ),
-            (
-                lambda: vertex_palette(coloring([1, 2, 3]), HUGE),
-                f"vertex index must lie in [1, 3], got {_shown(HUGE, 5001)}",
-            ),
-            (
-                lambda: palette_cyclically_ok((1, HUGE), HUGE - 1),
-                f"palette colors must lie in [1, {_shown(HUGE - 1, 5000)}], "
-                f"got (1, {_shown(HUGE, 5001)})",
-            ),
-            (
-                lambda: SearchConfig(limit=-HUGE),
-                f"limit must be >= 1 when given, got {_shown(-HUGE, 5001)}",
-            ),
-        ],
-        ids=["epsilon", "rotate_edges", "vertex_palette", "palette", "search_limit"],
-    )
-    def test_argument_refusals(self, call, message):
-        with pytest.raises(ValueError) as info:
-            call()
         assert str(info.value) == message
 
     def test_construct_refusals(self):
@@ -447,12 +409,6 @@ class TestHugeIntsInMessages:
         with pytest.raises(Infeasible) as info:
             construct(7, HUGE)
         assert info.value.message == f"t={_shown(HUGE, 5001)} outside [3,7] for C(7)"
-        with pytest.raises(Infeasible) as info:
-            construct(HUGE + 1, 4)
-        assert info.value.message == (
-            f"t=4 in forbidden set {{4,6,...,{_shown(HUGE, 5001)}}} "
-            f"of C({_shown(HUGE + 1, 5001)})"
-        )
 
     def test_forbidden_set_longer_than_sys_maxsize(self):
         n = 2**64 + 1
@@ -460,11 +416,4 @@ class TestHugeIntsInMessages:
             construct(n, 4)
         assert info.value.message == (
             f"t=4 in forbidden set {{4,6,...,{n - 1}}} of C({n})"
-        )
-
-    def test_search_bound_refusal(self):
-        with pytest.raises(SearchBoundExceeded) as info:
-            exists_search(HUGE, 3)
-        assert str(info.value).startswith(
-            f"n={_shown(HUGE, 5001)} exceeds the search bound"
         )
