@@ -18,7 +18,6 @@ import click
 
 from . import __version__
 from .characterization import (
-    _check_cap,
     chi_prime,
     contains,
     forbidden_set,
@@ -261,10 +260,6 @@ def oracle(
     if tmax is None:
         tmax = n
     _require(1 <= tmin <= tmax <= n, "need 1 <= tmin <= tmax <= N")
-    if mode == INTERVAL:
-        # refused above the cap like theta_interval(n), whose members are
-        # the t in [2, n/2+1] for even n: the test below, in O(1)
-        _check_cap(n, "a feasible set")
     rows: list[dict] = []
     for t in range(tmin, tmax + 1):
         if with_count:
@@ -273,6 +268,7 @@ def oracle(
         else:
             row = {"t": t, "exists": exists_search(n, t, mode)}
         if check_formula:
+            # theta_interval(n) is [2, n/2+1] for even n: tested in O(1)
             row["formula"] = (
                 contains(n, t)
                 if mode == CYCLIC

@@ -73,7 +73,7 @@ def _show_int(x: object) -> str:
 def _check_n(n: int) -> None:
     # a comparison only: the closed forms call this on their hot path
     if n < 3:
-        raise ValueError(f"cycle size must be >= 3, got {n}")
+        raise ValueError(f"cycle size must be >= 3, got {_show_int(n)}")
 
 
 def _check_t(n: int, t: int) -> None:
@@ -200,9 +200,9 @@ def _set_operator(op):
 class RangeSet(Set):
     """A read-only set of the members of one ascending ``range``.
 
-    ``in`` and ``len`` are O(1) and iteration is ascending.  ``==`` against
-    a set or frozenset is one length test and one C-level pass over the
-    range; ``| & - ^`` return a plain ``set``.  Unhashable, like ``set``.
+    ``in``, ``len`` and ``bool`` are O(1) and iteration is ascending.  ``==``
+    against a set or frozenset is one length test and one C-level pass over
+    the range; ``| & - ^`` return a plain ``set``.  Unhashable, like ``set``.
     """
 
     __slots__ = ("_range",)
@@ -227,11 +227,16 @@ class RangeSet(Set):
     def __len__(self) -> int:
         return len(self._range)
 
+    def __bool__(self) -> bool:
+        return bool(self._range)
+
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RangeSet):
             return self._range == other._range
         if isinstance(other, (set, frozenset)):
-            return len(other) == len(self._range) and other.issuperset(self._range)
+            r = self._range  # len(r) overflows past sys.maxsize; size does not
+            size = max(0, -((r.start - r.stop) // r.step))
+            return len(other) == size and other.issuperset(r)
         return super().__eq__(other)
 
     __hash__ = None

@@ -5,7 +5,8 @@ edge may only take a color adjacent to its predecessor (consecutive, or the
 1/t wrap in cyclic mode), and the last edge must close back on the first.
 Branches die as soon as the unused-color count exceeds the edges left, so
 the tree has at most t * 2^(n-1) nodes and the default bound n <= 14 stays
-well under a second per query.
+well under a second per query.  The walk is one loop over an explicit stack
+holding O(n) state, so a raised bound is capped at MATERIALIZE_CAP.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from itertools import compress, count, repeat
 from operator import add, eq, ne, sub
 from typing import Iterator, NamedTuple
 
-from .characterization import PROVENANCE_SEARCH, ThetaSet
-from .model import CycleColoring, _check_n, _check_t
+from .characterization import MATERIALIZE_CAP, PROVENANCE_SEARCH, ThetaSet
+from .model import CycleColoring, _check_n, _check_t, _show_int
 from .verifier import CYCLIC, _check_mode, _new_tuple, _steps, verify
 
 __all__ = [
@@ -38,9 +39,6 @@ __all__ = [
 
 DEFAULT_MAX_N = 14
 MAX_N_ENV_VAR = "CYCLIC_CHROMA_MAX_N"
-# The DFS nests one generator per edge, so a deeper search would exhaust the
-# interpreter's recursion limit (about 1,000 frames) instead of answering.
-_MAX_N_CEILING = 500
 
 _PLAIN_INT = re.compile(r"^(0|[1-9][0-9]*)$")
 
@@ -50,7 +48,7 @@ class SearchBoundExceeded(Exception):
 
 
 def search_bound() -> int:
-    """Current search bound: CYCLIC_CHROMA_MAX_N (at most 500) when set, else 14."""
+    """Current search bound: CYCLIC_CHROMA_MAX_N (at most 10**6) when set, else 14."""
     raw = os.environ.get(MAX_N_ENV_VAR)
     if raw is None:
         return DEFAULT_MAX_N
@@ -60,9 +58,9 @@ def search_bound() -> int:
             f"leading zeros, got {raw!r}"
         )
     bound = int(raw)
-    if bound > _MAX_N_CEILING:
+    if bound > MATERIALIZE_CAP:
         raise ValueError(
-            f"{MAX_N_ENV_VAR} must be at most {_MAX_N_CEILING}, got {bound}"
+            f"{MAX_N_ENV_VAR} must be at most {MATERIALIZE_CAP}, got {bound}"
         )
     return bound
 
@@ -95,44 +93,40 @@ def _check_search_args(n: int, t: int) -> None:
     bound = search_bound()
     if n > bound:
         raise SearchBoundExceeded(
-            f"n={n} exceeds the search bound {bound} "
+            f"n={_show_int(n)} exceeds the search bound {bound} "
             f"(set {MAX_N_ENV_VAR} to raise it)"
         )
     _check_t(n, t)
 
 
 def _walks(n: int, t: int, cfg: SearchConfig) -> Iterator[tuple[int, ...]]:
-    """Yield valid color sequences in lexicographic order."""
+    """Yield valid color sequences in lexicographic order.
+
+    One loop, no frame per edge: stack[k] iterates the colors left to try on
+    edge k + 1, and ``missing`` counts the colors seq does not use yet.
+    """
     succ = _successor_table(t, cfg.mode)
     seq = [0] * n
     seen = [0] * (t + 1)
-    for first in (1,) if cfg.fix_first_color else range(1, t + 1):
-        seq[0] = first
-        seen[first] = 1
-        yield from _extend(succ, seq, seen, 1, t - 1)
-        seen[first] = 0
-
-
-def _extend(
-    succ: list[list[int]], seq: list[int], seen: list[int], k: int, missing: int
-) -> Iterator[tuple[int, ...]]:
-    """Fill seq[k:] after seq[:k]; ``missing`` colors are still unused.
-
-    A plain recursive generator, so an abandoned walk holds no reference
-    cycle and is freed as soon as its last reference goes.
-    """
-    n = len(seq)
-    if k == n:
-        if missing == 0 and seq[0] in succ[seq[-1]]:
-            yield tuple(seq)
-        return
-    if missing > n - k:
-        return
-    for c in succ[seq[k - 1]]:
-        seq[k] = c
+    missing = t
+    stack = [iter((1,) if cfg.fix_first_color else range(1, t + 1))]
+    while stack:
+        k = len(stack) - 1
+        old = seq[k]
+        if old:
+            seen[old] -= 1
+            missing += seen[old] == 0
+        c = seq[k] = next(stack[k], 0)
+        if not c:
+            stack.pop()
+            continue
         seen[c] += 1
-        yield from _extend(succ, seq, seen, k + 1, missing - (seen[c] == 1))
-        seen[c] -= 1
+        missing -= seen[c] == 1
+        if k + 1 == n:
+            if missing == 0 and seq[0] in succ[c]:
+                yield tuple(seq)
+        elif missing < n - k:
+            stack.append(iter(succ[c]))
 
 
 def exists_search(

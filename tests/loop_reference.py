@@ -1,9 +1,11 @@
-"""Per-edge loop references for ``verify`` and ``decompose``.
+"""Loop references for ``verify``, ``decompose`` and the search walk.
 
 The library checks a coloring and splits it into boundary runs with passes
 that run in C (``map``, ``set``, ``bytes``, ``compress``).  These are the
 plain loops they replaced, one edge or one run per Python step; the tests
-require the library to return exactly what they return.
+require the library to return exactly what they return.  ``walks`` is the
+recursive generator the search's one-loop walk replaced, one nested
+generator per edge; the walk must yield exactly its tuples, in its order.
 """
 
 from cyclic_chroma import (
@@ -131,3 +133,34 @@ def decompose(c: CycleColoring) -> ProofDecomposition:
         m1=frozenset(m1),
         m2=frozenset(m2),
     )
+
+
+def walks(n, t, mode=CYCLIC, fix_first_color=False):
+    """Valid color sequences of (n, t) in lexicographic order, recursively."""
+    colors = range(1, t + 1)
+    succ = [[]] + [
+        [b for b in colors if b != a and adjacent(a, b, t, mode)] for a in colors
+    ]
+    seq = [0] * n
+    seen = [0] * (t + 1)
+    for first in (1,) if fix_first_color else range(1, t + 1):
+        seq[0] = first
+        seen[first] = 1
+        yield from _extend(succ, seq, seen, 1, t - 1)
+        seen[first] = 0
+
+
+def _extend(succ, seq, seen, k, missing):
+    """Fill seq[k:] after seq[:k]; ``missing`` colors are still unused."""
+    n = len(seq)
+    if k == n:
+        if missing == 0 and seq[0] in succ[seq[-1]]:
+            yield tuple(seq)
+        return
+    if missing > n - k:
+        return
+    for c in succ[seq[k - 1]]:
+        seq[k] = c
+        seen[c] += 1
+        yield from _extend(succ, seq, seen, k + 1, missing - (seen[c] == 1))
+        seen[c] -= 1

@@ -234,24 +234,41 @@ class TestOracle:
         assert result.output == "t=2 yes count=2\n"
 
     def test_env_bound_above_the_ceiling_refused(self, runner):
+        # the walk holds O(n) state, capped at MATERIALIZE_CAP like the rest
         result = runner.invoke(
             main,
-            ["oracle", "501", "--tmin", "2", "--tmax", "2"],
-            env={"CYCLIC_CHROMA_MAX_N": "501"},
+            ["oracle", "5", "--tmin", "2", "--tmax", "2"],
+            env={"CYCLIC_CHROMA_MAX_N": str(MATERIALIZE_CAP + 1)},
         )
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr == (
-            "error: CYCLIC_CHROMA_MAX_N must be at most 500, got 501\n"
+            "error: CYCLIC_CHROMA_MAX_N must be at most 1000000, got 1000001\n"
         )
 
-    def test_interval_set_above_cap_refused(self, runner):
+    def test_walk_deeper_than_the_recursion_limit(self, runner):
         result = runner.invoke(
-            main, ["oracle", str(MATERIALIZE_CAP + 1), "--mode", "interval"]
+            main,
+            ["oracle", "5000", "--tmin", "2", "--tmax", "2", "--count"],
+            env={"CYCLIC_CHROMA_MAX_N": "5000"},
         )
-        assert result.exit_code == 2
-        assert result.stdout == ""
-        assert result.stderr.startswith("error: refusing to materialize a feasible set")
+        assert result.exit_code == 0
+        assert result.output == "t=2 yes count=2\n"
+
+    def test_interval_set_above_cap_refused(self, runner):
+        # no mode materializes anything: the search bound refuses n first
+        for mode in ("cyclic", "interval"):
+            result = runner.invoke(
+                main,
+                ["oracle", str(MATERIALIZE_CAP + 1), "--mode", mode],
+                env={"CYCLIC_CHROMA_MAX_N": None},
+            )
+            assert result.exit_code == 2, mode
+            assert result.stdout == ""
+            assert result.stderr == (
+                "error: n=1000001 exceeds the search bound 14 "
+                "(set CYCLIC_CHROMA_MAX_N to raise it)\n"
+            ), mode
 
     def test_interval_mode_builds_no_members_tuple(self, runner):
         argv = ["oracle", str(MATERIALIZE_CAP), "--mode", "interval"]

@@ -1,8 +1,8 @@
-"""``verify`` and ``decompose`` against the per-edge loops they replaced.
+"""``verify``, ``decompose`` and the search walk against the loops they replaced.
 
 Every field of the report, the order of the violations, the JSON of the
-decomposition (which tells ``1`` from ``true``) and the component tuples
-must match ``loop_reference`` exactly.
+decomposition (which tells ``1`` from ``true``), the component tuples and
+the walk's tuples, in order, must match ``loop_reference`` exactly.
 """
 
 import json
@@ -17,6 +17,7 @@ from cyclic_chroma import (
     CYCLIC,
     INTERVAL,
     CycleColoring,
+    SearchConfig,
     construct,
     contains,
     decompose,
@@ -25,6 +26,7 @@ from cyclic_chroma import (
     shift_colors,
     verify,
 )
+from cyclic_chroma.oracle import _walks
 
 
 def assert_matches_reference(c):
@@ -108,3 +110,12 @@ def test_large_witnesses(n, t):
     colors = list(c.colors)
     colors[n // 2] = colors[n // 2] % t + 1
     assert_matches_reference(CycleColoring(n, t, tuple(colors)))
+
+
+def test_walks_match_the_recursive_walk():
+    for n in range(3, 11):
+        for t in range(1, n + 1):
+            for mode, fix in ((CYCLIC, False), (INTERVAL, False), (CYCLIC, True)):
+                cfg = SearchConfig(mode=mode, fix_first_color=fix)
+                got = list(_walks(n, t, cfg))
+                assert got == list(loop_reference.walks(n, t, mode, fix)), (n, t, cfg)

@@ -15,8 +15,11 @@ from cyclic_chroma import (
     CycleColoring,
     Infeasible,
     Parity,
+    SearchBoundExceeded,
     construct,
     epsilon,
+    exists_search,
+    forbidden_set,
     parity_filter,
     rotate_edges,
     sgn_nat,
@@ -122,6 +125,7 @@ class TestRangeSet:
         assert rs != plain | {100} and plain | {100} != rs
         assert rs == RangeSet(range(r.start, r.stop, r.step))
         assert len(rs) == len(plain)
+        assert bool(rs) == bool(plain)
         assert list(rs) == sorted(plain)
 
     @pytest.mark.parametrize("r", CASES)
@@ -159,6 +163,17 @@ class TestRangeSet:
             assert not hasattr(rs, method), method
         with pytest.raises(AttributeError):
             rs.extra = 1
+
+    @pytest.mark.parametrize("n", [10**20, 10**20 + 1])
+    def test_more_members_than_sys_maxsize(self, n):
+        rs = forbidden_set(n)
+        assert n - 1 in rs
+        assert bool(rs)
+        assert rs != set() and set() != rs
+        assert rs != {4, 5} and frozenset({n - 1}) != rs
+        assert rs == RangeSet(rs._range)
+        with pytest.raises(OverflowError):
+            len(rs)
 
     def test_rejects_a_descending_range(self):
         with pytest.raises(ValueError):
@@ -391,8 +406,9 @@ class TestHugeIntsInMessages:
         [
             (3, HUGE, f"color count must lie in [1, 3], got t={_shown(HUGE, 5001)}"),
             (HUGE, 3, f"expected {_shown(HUGE, 5001)} edge colors, got 3"),
+            (-HUGE, 3, f"cycle size must be >= 3, got {_shown(-HUGE, 5001)}"),
         ],
-        ids=["huge-t", "huge-n"],
+        ids=["huge-t", "huge-n", "huge-negative-n"],
     )
     def test_coloring_refusals(self, n, t, message):
         with pytest.raises(ValueError) as info:
@@ -409,6 +425,15 @@ class TestHugeIntsInMessages:
         with pytest.raises(Infeasible) as info:
             construct(7, HUGE)
         assert info.value.message == f"t={_shown(HUGE, 5001)} outside [3,7] for C(7)"
+
+    def test_search_refusal(self, monkeypatch):
+        monkeypatch.delenv("CYCLIC_CHROMA_MAX_N", raising=False)
+        with pytest.raises(SearchBoundExceeded) as info:
+            exists_search(HUGE, 3)
+        assert str(info.value) == (
+            f"n={_shown(HUGE, 5001)} exceeds the search bound 14 "
+            "(set CYCLIC_CHROMA_MAX_N to raise it)"
+        )
 
     def test_forbidden_set_longer_than_sys_maxsize(self):
         n = 2**64 + 1

@@ -1,4 +1,5 @@
 import gc
+import sys
 
 import pytest
 
@@ -8,6 +9,7 @@ from walk_count import walk_counts
 from cyclic_chroma import (
     CYCLIC,
     INTERVAL,
+    MATERIALIZE_CAP,
     CycleColoring,
     ProofDecomposition,
     SearchBoundExceeded,
@@ -79,13 +81,23 @@ class TestSearchBound:
         assert exists_search(15, 3)
 
     def test_env_ceiling(self, monkeypatch):
-        # the DFS nests one generator per edge: deeper would overflow the stack
-        monkeypatch.setenv("CYCLIC_CHROMA_MAX_N", "500")
-        assert search_bound() == 500
+        # the walk holds O(n) state, capped at MATERIALIZE_CAP like the rest
+        monkeypatch.setenv("CYCLIC_CHROMA_MAX_N", str(MATERIALIZE_CAP))
+        assert search_bound() == MATERIALIZE_CAP
         assert count_colorings(500, 2) == 2
-        monkeypatch.setenv("CYCLIC_CHROMA_MAX_N", "501")
-        with pytest.raises(ValueError, match="CYCLIC_CHROMA_MAX_N must be at most 500"):
+        monkeypatch.setenv("CYCLIC_CHROMA_MAX_N", str(MATERIALIZE_CAP + 1))
+        with pytest.raises(ValueError) as info:
             search_bound()
+        assert str(info.value) == (
+            "CYCLIC_CHROMA_MAX_N must be at most 1000000, got 1000001"
+        )
+
+    def test_walk_deeper_than_the_recursion_limit(self, monkeypatch):
+        n = 5000
+        assert n > sys.getrecursionlimit()
+        monkeypatch.setenv("CYCLIC_CHROMA_MAX_N", str(n))
+        for mode in (CYCLIC, INTERVAL):
+            assert count_colorings(n, 2, mode) == 2, mode
 
     def test_env_rejects_junk(self, monkeypatch):
         monkeypatch.setenv("CYCLIC_CHROMA_MAX_N", "012")
