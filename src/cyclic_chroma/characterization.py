@@ -128,7 +128,7 @@ def _check_provenance(provenance: str) -> None:
 
 def _check_span(n: int, least: int, greatest: int) -> None:
     if not (2 <= least and greatest <= n):
-        raise ValueError(f"members must lie in [2, {n}]")
+        raise ValueError(f"members must lie in [2, {_show_int(n)}]")
 
 
 def _check_cap(n: int, what: str) -> None:

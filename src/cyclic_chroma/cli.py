@@ -19,7 +19,6 @@ import click
 from . import __version__
 from .characterization import (
     chi_prime,
-    contains,
     forbidden_set,
     theta_cyclic,
     theta_interval,
@@ -267,17 +266,14 @@ def oracle(
             row: dict = {"t": t, "exists": count > 0, "count": count}
         else:
             row = {"t": t, "exists": exists_search(n, t, mode)}
-        if check_formula:
-            # theta_interval(n) is [2, n/2+1] for even n: tested in O(1)
-            row["formula"] = (
-                contains(n, t)
-                if mode == CYCLIC
-                else n % 2 == 0 and 2 <= t <= n // 2 + 1
-            )
         rows.append(row)
-    agree = (
-        all(r["exists"] == r["formula"] for r in rows) if check_formula else None
-    )
+    agree = None
+    if check_formula:
+        # after the search, so an n above the search bound is refused first
+        ts = theta_cyclic(n) if mode == CYCLIC else theta_interval(n)
+        for r in rows:
+            r["formula"] = r["t"] in ts
+        agree = all(r["exists"] == r["formula"] for r in rows)
     if as_json:
         obj: dict = {"n": n, "mode": mode, "rows": rows}
         if agree is not None:

@@ -66,7 +66,8 @@ def zigzag_staircase(n: int, t: int) -> CycleColoring:
             n,
             t,
             REASON_PATTERN,
-            f"zigzag-staircase needs {chi} <= t <= {n} with n-t even, got t={t}",
+            f"zigzag-staircase needs {chi} <= t <= {_show_int(n)} with n-t even, "
+            f"got t={_show_int(t)}",
         )
     _check_cap(n, "a witness")
     pad = (n - t) // 2
@@ -85,7 +86,8 @@ def tent(n: int, t: int) -> CycleColoring:
             n,
             t,
             REASON_PATTERN,
-            f"tent needs even n and 2 <= t <= n/2+1, got n={n}, t={t}",
+            "tent needs even n and 2 <= t <= n/2+1, "
+            f"got n={_show_int(n)}, t={_show_int(t)}",
         )
     _check_cap(n, "a witness")
     pad = (n - (2 * t - 2)) // 2
@@ -105,8 +107,8 @@ def construct(n: int, t: int) -> CycleColoring:
     _check_size_args(n, t)
     if not contains(n, t):
         chi = chi_prime(n)
+        shown_t, shown_n = _show_int(t), _show_int(n)
         if t < chi or t > n:
-            shown_t, shown_n = _show_int(t), _show_int(n)
             raise Infeasible(
                 n,
                 t,
@@ -116,10 +118,9 @@ def construct(n: int, t: int) -> CycleColoring:
         gap = _gap(n)
         # len() of a range longer than sys.maxsize overflows; its slice's does not
         members = gap if len(gap[:4]) <= 3 else (gap[0], gap[1], "...", gap[-1])
-        shown = ",".join(map(str, members))
-        raise Infeasible(
-            n, t, REASON_FORBIDDEN, f"t={t} in forbidden set {{{shown}}} of C({n})"
-        )
+        shown = ",".join(map(_show_int, members))
+        message = f"t={shown_t} in forbidden set {{{shown}}} of C({shown_n})"
+        raise Infeasible(n, t, REASON_FORBIDDEN, message)
     if (n - t) % 2 == 0:
         return zigzag_staircase(n, t)
     return tent(n, t)

@@ -6,10 +6,11 @@ i-1 and i (edge 0 wraps to edge n).  Colors are integers in [1, t].
 All values are immutable and every operation is pure.
 
 The public ``CycleColoring(n, t, colors)`` constructor is the one strict
-boundary: n, t and every color must be ints (subclasses such as ``Parity``
-pass, ``bool`` is refused), n >= 3 (``_check_n``), 1 <= t <= n since a
-coloring uses all t colors on n edges (``_check_t``), there are n colors and
-each lies in [1, t]; every module checks sizes by those two rules.
+boundary: n, t and every color must be ints (int subclasses such as an
+``IntEnum`` member pass, ``bool`` is refused), n >= 3 (``_check_n``),
+1 <= t <= n since a coloring uses all t colors on n edges (``_check_t``),
+there are n colors and each lies in [1, t]; every module checks sizes by
+those two rules.
 ``CycleColoring._trusted(n, t, colors)`` skips every check and is for
 builders whose output is right by construction: its caller guarantees
 n >= 3, 1 <= t <= n, a tuple of length n and every color an int in [1, t].
@@ -20,25 +21,14 @@ from __future__ import annotations
 import operator
 from collections.abc import Set
 from dataclasses import dataclass
-from enum import IntEnum
 from math import log10, trunc
 
 __all__ = [
-    "Parity",
     "CycleColoring",
     "epsilon",
-    "sgn_nat",
-    "parity_filter",
     "rotate_edges",
     "shift_colors",
 ]
-
-
-class Parity(IntEnum):
-    """Parity selector: EVEN keeps even integers, ODD keeps odd ones."""
-
-    EVEN = 0
-    ODD = 1
 
 
 _RECORD_FIELDS = {"n", "t", "colors"}
@@ -122,10 +112,6 @@ class CycleColoring:
         object.__setattr__(c, "colors", colors)
         return c
 
-    def edge_color(self, i: int) -> int:
-        """Color of edge i, 1-based and circular (edge 0 means edge n)."""
-        return self.colors[(i - 1) % self.n]
-
     def to_record(self) -> dict:
         """Canonical interchange record, ready for JSON encoding."""
         return {"n": self.n, "t": self.t, "colors": list(self.colors)}
@@ -153,13 +139,8 @@ class CycleColoring:
 def epsilon(k: int) -> int:
     """1 if k is even, 0 if k is odd (defined for k >= 1)."""
     if k < 1:
-        raise ValueError(f"epsilon is defined for k >= 1, got {k}")
+        raise ValueError(f"epsilon is defined for k >= 1, got {_show_int(k)}")
     return 1 + k // 2 - (k + 1) // 2
-
-
-def sgn_nat(k: int) -> int:
-    """0 when k is 0, otherwise 1."""
-    return 0 if k == 0 else 1
 
 
 def _int_between(x: object, lo: int, hi: int) -> int | None:
@@ -250,18 +231,12 @@ class RangeSet(Set):
         return f"RangeSet({self._range!r})"
 
 
-def parity_filter(lo: int, hi: int, p: Parity) -> RangeSet:
-    """Integers in [lo, hi] with parity p, as a RangeSet; empty when lo > hi.
-
-    O(1) to build, whatever the width of [lo, hi].
-    """
-    return RangeSet(range(lo + (lo - p) % 2, hi + 1, 2))
-
-
 def rotate_edges(c: CycleColoring, offset: int) -> CycleColoring:
     """Relabel edges so that the new edge 1 is the old edge offset+1."""
     if not 0 <= offset < c.n:
-        raise ValueError(f"rotation offset must lie in [0, {c.n - 1}], got {offset}")
+        raise ValueError(
+            f"rotation offset must lie in [0, {c.n - 1}], got {_show_int(offset)}"
+        )
     if offset == 0:
         return c
     return CycleColoring._trusted(c.n, c.t, c.colors[offset:] + c.colors[:offset])

@@ -57,12 +57,15 @@ def search_bound() -> int:
             f"{MAX_N_ENV_VAR} must be an unsigned integer without "
             f"leading zeros, got {raw!r}"
         )
-    bound = int(raw)
-    if bound > MATERIALIZE_CAP:
-        raise ValueError(
-            f"{MAX_N_ENV_VAR} must be at most {MATERIALIZE_CAP}, got {bound}"
-        )
-    return bound
+    # a string with more digits than the cap is above it, and is never passed
+    # to int(), which refuses one past Python's digit limit
+    if len(raw) > len(str(MATERIALIZE_CAP)):
+        shown = f"<a {len(raw)}-digit integer>"
+    elif int(raw) <= MATERIALIZE_CAP:
+        return int(raw)
+    else:
+        shown = raw
+    raise ValueError(f"{MAX_N_ENV_VAR} must be at most {MATERIALIZE_CAP}, got {shown}")
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,9 @@ class SearchConfig:
     def __post_init__(self) -> None:
         _check_mode(self.mode)
         if self.limit is not None and self.limit < 1:
-            raise ValueError(f"limit must be >= 1 when given, got {self.limit}")
+            raise ValueError(
+                f"limit must be >= 1 when given, got {_show_int(self.limit)}"
+            )
         if self.fix_first_color and self.mode != CYCLIC:
             raise ValueError("fix_first_color is only sound in cyclic mode")
 
@@ -212,9 +217,11 @@ class ProofDecomposition:
     def __post_init__(self) -> None:
         if not self.connected:
             if len(self.psi) != 2 * self.m:
-                raise ValueError(f"psi must have 2m = {2 * self.m} entries")
+                raise ValueError(f"psi must have 2m = {_show_int(2 * self.m)} entries")
             if sum(self.psi) != self.n + 2 * self.m:
-                raise ValueError(f"psi must sum to n + 2m = {self.n + 2 * self.m}")
+                raise ValueError(
+                    f"psi must sum to n + 2m = {_show_int(self.n + 2 * self.m)}"
+                )
             if self.horizontal.count(False) % 2:
                 raise ValueError("non-horizontal edges must be even in number")
 

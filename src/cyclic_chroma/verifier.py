@@ -3,6 +3,7 @@
 A vertex of a cycle sees exactly two edge colors.  In interval mode the two
 colors must be consecutive integers; in cyclic mode they may instead be the
 first and last colors, so the palette is consecutive on the color circle.
+``_steps`` states that rule once; ``verify`` and the search read it there.
 """
 
 from __future__ import annotations
@@ -22,12 +23,7 @@ __all__ = [
     "NOT_CYCLIC_INTERVAL",
     "Violation",
     "VerificationReport",
-    "vertex_palette",
-    "is_proper",
-    "is_surjective",
-    "palette_cyclically_ok",
     "verify",
-    "u_set",
 ]
 
 INTERVAL = "interval"
@@ -80,24 +76,6 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-def vertex_palette(c: CycleColoring, i: int) -> tuple[int, int]:
-    """The two colors incident to vertex i, as (edge i-1, edge i)."""
-    if not 1 <= i <= c.n:
-        raise ValueError(f"vertex index must lie in [1, {c.n}], got {i}")
-    return (c.colors[(i - 2) % c.n], c.colors[i - 1])
-
-
-def is_proper(c: CycleColoring) -> bool:
-    """True when no two adjacent edges share a color."""
-    colors = c.colors
-    return all(colors[i - 1] != colors[i] for i in range(c.n))
-
-
-def is_surjective(c: CycleColoring) -> bool:
-    """True when every color 1..t appears on some edge."""
-    return len(set(c.colors)) == c.t
-
-
 def _steps(t: int, mode: str) -> frozenset[int]:
     """Allowed differences b - a between the two colors a, b at a vertex.
 
@@ -108,16 +86,6 @@ def _steps(t: int, mode: str) -> frozenset[int]:
     if mode == INTERVAL or t < 3:
         return frozenset((1, -1))
     return frozenset((1, -1, t - 1, 1 - t))
-
-
-def palette_cyclically_ok(pair: tuple[int, int], t: int) -> bool:
-    """True when two distinct colors in [1, t] are consecutive, or are 1 and t."""
-    a, b = pair
-    if a == b:
-        raise ValueError("palette with a repeated color is never admissible")
-    if not (1 <= a <= t and 1 <= b <= t):
-        raise ValueError(f"palette colors must lie in [1, {t}], got {pair}")
-    return b - a in _steps(t, CYCLIC)
 
 
 def verify(c: CycleColoring, mode: str = CYCLIC) -> VerificationReport:
@@ -159,8 +127,3 @@ def verify(c: CycleColoring, mode: str = CYCLIC) -> VerificationReport:
         violations=tuple(violations),
         missing_colors=missing,
     )
-
-
-def u_set(c: CycleColoring) -> set[int]:
-    """1-based indices of edges colored strictly between 1 and t."""
-    return {i + 1 for i, x in enumerate(c.colors) if 1 < x < c.t}

@@ -20,9 +20,17 @@ from cyclic_chroma import (
     VerificationReport,
     Violation,
     rotate_edges,
-    sgn_nat,
-    u_set,
 )
+
+
+def sgn_nat(k: int) -> int:
+    """0 when k is 0, otherwise 1."""
+    return 0 if k == 0 else 1
+
+
+def u_set(c: CycleColoring) -> set[int]:
+    """1-based indices of edges colored strictly between 1 and t."""
+    return {i + 1 for i, x in enumerate(c.colors) if 1 < x < c.t}
 
 
 def adjacent(a: int, b: int, t: int, mode: str) -> bool:

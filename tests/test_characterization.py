@@ -9,7 +9,6 @@ from counting_probe import CountingProbe, HashOnlyProbe
 
 from cyclic_chroma import (
     MATERIALIZE_CAP,
-    Parity,
     ThetaSet,
     bounds_cyc,
     chi_prime,
@@ -17,7 +16,6 @@ from cyclic_chroma import (
     epsilon,
     exists_search,
     forbidden_set,
-    parity_filter,
     theta_cyclic,
     theta_interval,
 )
@@ -128,7 +126,7 @@ class TestThetaCyclic:
         half = 4 // 2
         general = sorted(
             set(range(2, half + 2))
-            | parity_filter(half + 3 - epsilon(half), 4, Parity.EVEN)
+            | {t for t in range(half + 3 - epsilon(half), 4 + 1) if t % 2 == 0}
         )
         assert tuple(general) == theta_cyclic(4).members
 
@@ -233,6 +231,10 @@ class TestThetaSet:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             ThetaSet(6, (3, 2), "formula")
+
+    def test_rejects_a_repeated_member(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ThetaSet(5, (3, 3, 5), "formula")
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

@@ -2,30 +2,41 @@ import json
 import re
 import sys
 from decimal import Decimal
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import loop_reference
 from counting_probe import CountingProbe, HashOnlyProbe
 
 from cyclic_chroma import (
     MATERIALIZE_CAP,
     CycleColoring,
     Infeasible,
-    Parity,
+    ProofDecomposition,
     SearchBoundExceeded,
+    SearchConfig,
+    ThetaSet,
     construct,
     epsilon,
     exists_search,
     forbidden_set,
-    parity_filter,
     rotate_edges,
-    sgn_nat,
     shift_colors,
+    tent,
+    zigzag_staircase,
 )
 from cyclic_chroma.model import RangeSet, _show_int
+
+
+class Parity(IntEnum):
+    """An int subclass that is not bool: its members must pass as ints."""
+
+    EVEN = 0
+    ODD = 1
 
 
 def coloring(colors, t=None):
@@ -64,53 +75,15 @@ class TestEpsilon:
 
 
 class TestSgnNat:
+    # the reference decomposition's 0/1 profile of run-end colors rests on it
     def test_zero(self):
-        assert sgn_nat(0) == 0
+        assert loop_reference.sgn_nat(0) == 0
 
     def test_one(self):
-        assert sgn_nat(1) == 1
+        assert loop_reference.sgn_nat(1) == 1
 
     def test_larger(self):
-        assert sgn_nat(7) == 1
-
-
-class TestParityFilter:
-    def test_even_range(self):
-        assert parity_filter(4, 9, Parity.EVEN) == {4, 6, 8}
-
-    def test_odd_range(self):
-        assert parity_filter(3, 5, Parity.ODD) == {3, 5}
-
-    def test_no_match(self):
-        assert parity_filter(7, 7, Parity.EVEN) == set()
-
-    def test_empty_interval(self):
-        assert parity_filter(5, 3, Parity.ODD) == set()
-
-    @given(st.integers(-50, 50), st.integers(0, 80))
-    def test_partition(self, lo, width):
-        hi = lo + width
-        evens = parity_filter(lo, hi, Parity.EVEN)
-        odds = parity_filter(lo, hi, Parity.ODD)
-        assert evens | odds == set(range(lo, hi + 1))
-        assert evens & odds == set()
-
-
-    @given(st.integers(-10**4, 10**4), st.integers(-10**4, 10**4), st.sampled_from(Parity))
-    def test_matches_the_set_of_the_range(self, lo, hi, p):
-        expected = set(range(lo + (lo - p) % 2, hi + 1, 2))
-        got = parity_filter(lo, hi, p)
-        assert got == expected and expected == got
-        assert len(got) == len(expected)
-        assert list(got) == sorted(expected)
-        assert all((t in got) == (t in expected) for t in range(lo - 2, hi + 3))
-
-    def test_huge_interval(self):
-        got = parity_filter(0, 10**18, Parity.EVEN)
-        assert len(got) == 5 * 10**17 + 1
-        assert next(iter(got)) == 0
-        assert 10**18 in got and 10**18 - 1 not in got
-        assert 10**18 + 2 not in got and -2 not in got
+        assert loop_reference.sgn_nat(7) == 1
 
 
 class TestRangeSet:
@@ -256,12 +229,6 @@ class TestCycleColoring:
 
     def test_accepts_int_subclass_colors(self):
         assert CycleColoring(3, 3, (Parity.ODD, 2, 3)).colors == (1, 2, 3)
-
-    def test_edge_color_wraps(self):
-        c = coloring([1, 2, 1, 2, 3])
-        assert c.edge_color(1) == 1
-        assert c.edge_color(5) == 3
-        assert c.edge_color(0) == 3
 
     def test_record_round_trip(self):
         c = coloring([1, 2, 1, 2, 3])
@@ -425,6 +392,100 @@ class TestHugeIntsInMessages:
         with pytest.raises(Infeasible) as info:
             construct(7, HUGE)
         assert info.value.message == f"t={_shown(HUGE, 5001)} outside [3,7] for C(7)"
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda: epsilon(-HUGE),
+                f"epsilon is defined for k >= 1, got {_shown(-HUGE, 5001)}",
+            ),
+            (
+                lambda: rotate_edges(CycleColoring(3, 3, (1, 2, 3)), HUGE),
+                f"rotation offset must lie in [0, 2], got {_shown(HUGE, 5001)}",
+            ),
+            (
+                lambda: SearchConfig(limit=-HUGE),
+                f"limit must be >= 1 when given, got {_shown(-HUGE, 5001)}",
+            ),
+            (
+                lambda: ThetaSet(HUGE, (1,), "formula"),
+                f"members must lie in [2, {_shown(HUGE, 5001)}]",
+            ),
+            (
+                lambda: ProofDecomposition(
+                    n=HUGE, t=3, m=2, connected=False, u_size=0, rotation=0,
+                    components=(), y=(0, 1, 1, 0), psi=(1, 1, 1, 1),
+                    horizontal=(False, True, False, True),
+                    m1=frozenset(), m2=frozenset(),
+                ),
+                f"psi must sum to n + 2m = {_shown(HUGE + 4, 5001)}",
+            ),
+            (
+                lambda: ProofDecomposition(
+                    n=7, t=3, m=HUGE, connected=False, u_size=0, rotation=0,
+                    components=(), y=(0, 1, 1, 0), psi=(1, 1, 1, 1),
+                    horizontal=(False, True, False, True),
+                    m1=frozenset(), m2=frozenset(),
+                ),
+                f"psi must have 2m = {_shown(2 * HUGE, 5001)} entries",
+            ),
+        ],
+        ids=["epsilon", "rotate-edges", "search-config-limit", "theta-set-span",
+             "decomposition-psi-sum", "decomposition-psi-length"],
+    )
+    def test_helper_refusals(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "build, n, t, message",
+        [
+            (
+                zigzag_staircase,
+                HUGE,
+                3,
+                f"zigzag-staircase needs 2 <= t <= {_shown(HUGE, 5001)} "
+                "with n-t even, got t=3",
+            ),
+            (
+                zigzag_staircase,
+                7,
+                HUGE,
+                f"zigzag-staircase needs 3 <= t <= 7 with n-t even, "
+                f"got t={_shown(HUGE, 5001)}",
+            ),
+            (
+                tent,
+                HUGE + 1,
+                3,
+                "tent needs even n and 2 <= t <= n/2+1, "
+                f"got n={_shown(HUGE + 1, 5001)}, t=3",
+            ),
+            (
+                tent,
+                8,
+                HUGE,
+                "tent needs even n and 2 <= t <= n/2+1, "
+                f"got n=8, t={_shown(HUGE, 5001)}",
+            ),
+            (
+                construct,
+                HUGE + 1,
+                4,
+                f"t=4 in forbidden set {{4,6,...,{_shown(HUGE, 5001)}}} "
+                f"of C({_shown(HUGE + 1, 5001)})",
+            ),
+        ],
+        ids=["zigzag-huge-n", "zigzag-huge-t", "tent-huge-n", "tent-huge-t",
+             "construct-forbidden-huge-n"],
+    )
+    def test_pattern_refusals(self, build, n, t, message):
+        with pytest.raises(Infeasible) as info:
+            build(n, t)
+        assert info.value.message == message
+        assert str(info.value) == message
 
     def test_search_refusal(self, monkeypatch):
         monkeypatch.delenv("CYCLIC_CHROMA_MAX_N", raising=False)

@@ -19,7 +19,6 @@ from cyclic_chroma import (
     decompose,
     enumerate_colorings,
     exists_search,
-    palette_cyclically_ok,
     rotate_edges,
     search_bound,
     theta_by_search,
@@ -92,6 +91,18 @@ class TestSearchBound:
             "CYCLIC_CHROMA_MAX_N must be at most 1000000, got 1000001"
         )
 
+    @pytest.mark.parametrize("digits", [8, 5000])
+    def test_env_with_more_digits_than_the_ceiling(self, monkeypatch, digits):
+        # never passed to int(), which refuses a string past Python's digit
+        # limit (4300 by default) with a message of its own
+        monkeypatch.setenv("CYCLIC_CHROMA_MAX_N", "9" * digits)
+        with pytest.raises(ValueError) as info:
+            search_bound()
+        assert str(info.value) == (
+            "CYCLIC_CHROMA_MAX_N must be at most 1000000, "
+            f"got <a {digits}-digit integer>"
+        )
+
     def test_walk_deeper_than_the_recursion_limit(self, monkeypatch):
         n = 5000
         assert n > sys.getrecursionlimit()
@@ -160,8 +171,8 @@ class TestEnumerate:
             for t in range(2, n + 1):
                 for c in enumerate_colorings(n, t):
                     for i in range(n):
-                        assert palette_cyclically_ok(
-                            (c.colors[i - 1], c.colors[i]), t
+                        assert vertex_ok(
+                            c.colors[i - 1], c.colors[i], t, CYCLIC
                         ), (c.colors, i)
 
 

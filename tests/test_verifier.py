@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import loop_reference
 import naive_oracle
 
 from cyclic_chroma import (
@@ -11,14 +12,11 @@ from cyclic_chroma import (
     NOT_INTERVAL,
     NOT_PROPER,
     CycleColoring,
-    is_proper,
-    is_surjective,
-    palette_cyclically_ok,
+    Violation,
+    decompose,
     shift_colors,
     rotate_edges,
-    u_set,
     verify,
-    vertex_palette,
 )
 from cyclic_chroma.verifier import _steps
 
@@ -38,66 +36,66 @@ colorings_st = st.integers(3, 10).flatmap(
 
 
 class TestVertexPalette:
+    # a violation names vertex i's palette as (color of edge i-1, of edge i)
     def test_wraparound_vertex(self):
-        assert vertex_palette(coloring([1, 2, 1, 2, 3]), 1) == (3, 1)
+        rep = verify(coloring([1, 2, 1, 2, 3]), INTERVAL)
+        assert rep.violations == (Violation(1, (3, 1), NOT_INTERVAL),)
 
     def test_inner_vertex(self):
-        assert vertex_palette(coloring([1, 2, 1, 2, 3]), 2) == (1, 2)
+        rep = verify(coloring([1, 3, 2, 4]), CYCLIC)
+        assert rep.violations[0] == Violation(2, (1, 3), NOT_CYCLIC_INTERVAL)
 
     def test_last_vertex(self):
-        assert vertex_palette(coloring([1, 2, 3, 4]), 4) == (3, 4)
-
-    def test_out_of_range(self):
-        c = coloring([1, 2, 3])
-        with pytest.raises(ValueError):
-            vertex_palette(c, 0)
-        with pytest.raises(ValueError):
-            vertex_palette(c, 4)
+        rep = verify(coloring([2, 1, 2, 4]), CYCLIC)
+        assert rep.violations[-1] == Violation(4, (2, 4), NOT_CYCLIC_INTERVAL)
 
 
 class TestIsProper:
     def test_valid(self):
-        assert is_proper(coloring([1, 2, 1, 2, 3]))
+        assert verify(coloring([1, 2, 1, 2, 3])).proper
 
     def test_repeated_adjacent(self):
-        assert not is_proper(coloring([1, 1, 2]))
+        assert not verify(coloring([1, 1, 2])).proper
 
     def test_triangle(self):
-        assert is_proper(coloring([1, 2, 3]))
+        assert verify(coloring([1, 2, 3])).proper
 
     def test_single_color(self):
-        assert not is_proper(coloring([1, 1, 1], t=1))
+        assert not verify(coloring([1, 1, 1], t=1)).proper
 
 
 class TestIsSurjective:
     def test_missing_color(self):
-        assert not is_surjective(coloring([1, 2, 1, 2], t=3))
+        assert not verify(coloring([1, 2, 1, 2], t=3)).surjective
 
     def test_exact(self):
-        assert is_surjective(coloring([1, 2, 1, 2], t=2))
+        assert verify(coloring([1, 2, 1, 2], t=2)).surjective
 
     def test_all_used(self):
-        assert is_surjective(coloring([1, 2, 1, 2, 3], t=3))
+        assert verify(coloring([1, 2, 1, 2, 3], t=3)).surjective
 
 
 class TestPaletteCyclicallyOk:
     def test_wrap_pair(self):
-        assert palette_cyclically_ok((3, 1), 3)
+        assert 1 - 3 in _steps(3, CYCLIC)
 
     def test_ends_of_range(self):
-        assert palette_cyclically_ok((1, 4), 4)
+        assert 4 - 1 in _steps(4, CYCLIC)
 
     def test_gap_pair(self):
-        assert not palette_cyclically_ok((1, 3), 4)
+        assert 3 - 1 not in _steps(4, CYCLIC)
 
     def test_repeated_color_rejected(self):
-        with pytest.raises(ValueError):
-            palette_cyclically_ok((2, 2), 4)
+        # equal colors break properness at their vertex, in either mode
+        for mode in (INTERVAL, CYCLIC):
+            rep = verify(coloring([2, 2, 3, 4, 3]), mode)
+            assert rep.violations[0] == Violation(2, (2, 2), NOT_PROPER), mode
 
     def test_color_outside_palette_rejected(self):
-        # the difference 0 - 3 is -(t-1), but 0 is no color of [1, 4]
+        # the difference 0 - 3 is -(t-1), but 0 is no color of [1, 4]: no
+        # coloring holds it, so the step rule never sees such a pair
         with pytest.raises(ValueError):
-            palette_cyclically_ok((0, 3), 4)
+            CycleColoring(4, 4, (0, 3, 1, 2))
 
     def test_steps_never_allow_equal_colors(self):
         for t in range(1, 51):
@@ -119,7 +117,7 @@ class TestPaletteCyclicallyOk:
                     literal = pair_block or (rest_block and len(rest) == t - 2)
                     shortcut = abs(a - b) == 1 or {a, b} == {1, t}
                     assert literal == shortcut
-                    assert palette_cyclically_ok((a, b), t) == literal
+                    assert (b - a in _steps(t, CYCLIC)) == literal
 
 
 class TestVerify:
@@ -192,8 +190,9 @@ class TestVerify:
             if rep.mode_satisfied:
                 assert rep.proper and rep.surjective and not rep.violations
             assert bool(rep.missing_colors) == (not rep.surjective)
-            assert rep.proper == is_proper(c)
-            assert rep.surjective == is_surjective(c)
+            pairs = zip(c.colors, c.colors[1:] + c.colors[:1])
+            assert rep.proper == all(x != y for x, y in pairs)
+            assert rep.surjective == (set(c.colors) == set(range(1, c.t + 1)))
 
     @given(colorings_st)
     def test_agrees_with_naive_oracle(self, c):
@@ -250,11 +249,19 @@ class TestSymmetries:
 
 
 class TestUSet:
+    # U, the edges colored strictly between 1 and t, is the reference
+    # decomposition's set; the library reports its size
     def test_interior_colors(self):
-        assert u_set(coloring([1, 2, 1, 2, 3])) == {2, 4}
+        c = coloring([1, 2, 1, 2, 3])
+        assert loop_reference.u_set(c) == {2, 4}
+        assert decompose(c).u_size == 2
 
     def test_staircase(self):
-        assert u_set(coloring([1, 2, 3, 4])) == {2, 3}
+        c = coloring([1, 2, 3, 4])
+        assert loop_reference.u_set(c) == {2, 3}
+        assert decompose(c).u_size == 2
 
     def test_two_colors_empty(self):
-        assert u_set(coloring([1, 2, 1, 2], t=2)) == set()
+        c = coloring([1, 2, 1, 2], t=2)
+        assert loop_reference.u_set(c) == set()
+        assert decompose(c).u_size == 0
