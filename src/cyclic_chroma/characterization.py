@@ -14,9 +14,16 @@ a parity-filtered gap just below n where no coloring closes up.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 
-from .model import RangeSet, _check_n, _int_between, _show_int, epsilon
+from .model import (
+    RangeSet,
+    _assign,
+    _check_n,
+    _int_between,
+    _Record,
+    _show_int,
+    epsilon,
+)
 
 __all__ = [
     "MATERIALIZE_CAP",
@@ -54,8 +61,7 @@ def _ints_through(k: int) -> tuple[int, ...]:
     return ints
 
 
-@dataclass(frozen=True)
-class ThetaSet:
+class ThetaSet(_Record):
     """A finite set of feasible color counts for one cycle size.
 
     Building one is O(len(members)): one built by hand has every member
@@ -67,17 +73,18 @@ class ThetaSet:
     the ``members`` tuple.
     """
 
-    n: int
-    members: tuple[int, ...]
-    provenance: str
+    __slots__ = ("n", "members", "provenance")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "members", tuple(self.members))
-        _check_provenance(self.provenance)
-        if any(b <= a for a, b in zip(self.members, self.members[1:])):
+    def __init__(self, n: int, members: tuple[int, ...], provenance: str) -> None:
+        members = tuple(members)
+        _check_provenance(provenance)
+        if any(b <= a for a, b in zip(members, members[1:])):
             raise ValueError("members must be strictly increasing")
-        if self.members:
-            _check_span(self.n, self.members[0], self.members[-1])
+        if members:
+            _check_span(n, members[0], members[-1])
+        _assign(self, "n", n)
+        _assign(self, "members", members)
+        _assign(self, "provenance", provenance)
 
     @classmethod
     def _of_ranges(cls, n: int, provenance: str, *parts: range) -> ThetaSet:
@@ -100,9 +107,9 @@ class ThetaSet:
             for r in parts:
                 members += ints[r.start : r.stop : r.step]
         self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "provenance", provenance)
+        _assign(self, "n", n)
+        _assign(self, "members", members)
+        _assign(self, "provenance", provenance)
         return self
 
     def __contains__(self, t: object) -> bool:

@@ -14,13 +14,17 @@ those two rules.
 ``CycleColoring._trusted(n, t, colors)`` skips every check and is for
 builders whose output is right by construction: its caller guarantees
 n >= 3, 1 <= t <= n, a tuple of length n and every color an int in [1, t].
+
+The package's record classes derive from ``_Record``: a frozen base with
+slotted fields, written out so that importing the package loads no class
+generator.
 """
 
 from __future__ import annotations
 
 import operator
+import re
 from collections.abc import Set
-from dataclasses import dataclass
 from math import log10, trunc
 
 __all__ = [
@@ -32,6 +36,13 @@ __all__ = [
 
 
 _RECORD_FIELDS = {"n", "t", "colors"}
+
+# an unsigned decimal integer without leading zeros: the form of the CLI's
+# integer arguments and of CYCLIC_CHROMA_MAX_N
+_PLAIN_INT = re.compile(r"^(0|[1-9][0-9]*)$")
+
+# a record's __init__ sets its fields with this, past the frozen __setattr__
+_assign = object.__setattr__
 
 
 def _require_int(value: object, label: str) -> None:
@@ -73,43 +84,80 @@ def _check_t(n: int, t: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class CycleColoring:
+class _Record:
+    """Base of the frozen record classes; the fields are the ``__slots__``.
+
+    A subclass lists its fields in order in ``__slots__`` and sets each in
+    its own explicit ``__init__`` with ``_assign``.  Setting or deleting a
+    field raises AttributeError.  ``==`` holds between two records of the
+    same class whose fields are equal, ``hash`` is that of the tuple of
+    fields, and ``repr`` names every field.  Pickling and copying rebuild a
+    record through its ``__init__``, from its fields in order.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        # one C-level call that reads every field into a tuple
+        cls._fields = operator.attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields(self) == other._fields(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._fields(self)
+
+
+class CycleColoring(_Record):
     """Colors 1..t assigned to the n edges of a simple cycle.
 
     ``colors[i]`` is the color of edge i+1.
     """
 
-    n: int
-    t: int
-    colors: tuple[int, ...]
+    __slots__ = ("n", "t", "colors")
 
-    def __post_init__(self) -> None:
-        _require_int(self.n, "'n'")
-        _require_int(self.t, "'t'")
-        colors = tuple(self.colors)
-        object.__setattr__(self, "colors", colors)
+    def __init__(self, n: int, t: int, colors: tuple[int, ...]) -> None:
+        _require_int(n, "'n'")
+        _require_int(t, "'t'")
+        colors = tuple(colors)
         # one C-level pass over the entry types; the loop that names the
         # first bad entry runs only when some entry is not a plain int
         if not {int}.issuperset(map(type, colors)):
             for x in colors:
                 _require_int(x, "'colors' entry")
-        _check_n(self.n)
-        _check_t(self.n, self.t)
-        if len(colors) != self.n:
-            raise ValueError(
-                f"expected {_show_int(self.n)} edge colors, got {len(colors)}"
-            )
-        if min(colors) < 1 or max(colors) > self.t:
-            raise ValueError(f"edge colors must lie in [1, {self.t}]")
+        _check_n(n)
+        _check_t(n, t)
+        if len(colors) != n:
+            raise ValueError(f"expected {_show_int(n)} edge colors, got {len(colors)}")
+        if min(colors) < 1 or max(colors) > t:
+            raise ValueError(f"edge colors must lie in [1, {t}]")
+        _assign(self, "n", n)
+        _assign(self, "t", t)
+        _assign(self, "colors", colors)
 
     @classmethod
     def _trusted(cls, n: int, t: int, colors: tuple[int, ...]) -> CycleColoring:
         """Build with no check; the caller guarantees what the module doc names."""
         c = object.__new__(cls)
-        object.__setattr__(c, "n", n)
-        object.__setattr__(c, "t", t)
-        object.__setattr__(c, "colors", colors)
+        _assign(c, "n", n)
+        _assign(c, "t", t)
+        _assign(c, "colors", colors)
         return c
 
     def to_record(self) -> dict:

@@ -12,14 +12,21 @@ holding O(n) state, so a raised bound is capped at MATERIALIZE_CAP.
 from __future__ import annotations
 
 import os
-import re
-from dataclasses import dataclass
 from itertools import compress, count, repeat
 from operator import add, eq, ne, sub
 from typing import Iterator, NamedTuple
 
 from .characterization import MATERIALIZE_CAP, PROVENANCE_SEARCH, ThetaSet
-from .model import CycleColoring, _check_n, _check_t, _show_int
+from .model import (
+    _PLAIN_INT,
+    CycleColoring,
+    _assign,
+    _check_n,
+    _check_t,
+    _Record,
+    _require_int,
+    _show_int,
+)
 from .verifier import CYCLIC, _check_mode, _new_tuple, _steps, verify
 
 __all__ = [
@@ -39,8 +46,6 @@ __all__ = [
 
 DEFAULT_MAX_N = 14
 MAX_N_ENV_VAR = "CYCLIC_CHROMA_MAX_N"
-
-_PLAIN_INT = re.compile(r"^(0|[1-9][0-9]*)$")
 
 
 class SearchBoundExceeded(Exception):
@@ -68,22 +73,28 @@ def search_bound() -> int:
     raise ValueError(f"{MAX_N_ENV_VAR} must be at most {MATERIALIZE_CAP}, got {shown}")
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(_Record):
     """Enumeration options: mode, witness cap, and first-edge pinning."""
 
-    mode: str = CYCLIC
-    limit: int | None = None
-    fix_first_color: bool = False
+    __slots__ = ("mode", "limit", "fix_first_color")
 
-    def __post_init__(self) -> None:
-        _check_mode(self.mode)
-        if self.limit is not None and self.limit < 1:
-            raise ValueError(
-                f"limit must be >= 1 when given, got {_show_int(self.limit)}"
-            )
-        if self.fix_first_color and self.mode != CYCLIC:
+    def __init__(
+        self,
+        mode: str = CYCLIC,
+        limit: int | None = None,
+        fix_first_color: bool = False,
+    ) -> None:
+        _check_mode(mode)
+        if limit is not None:
+            _require_int(limit, "limit")
+            if limit < 1:
+                shown = _show_int(limit)
+                raise ValueError(f"limit must be >= 1 when given, got {shown}")
+        if fix_first_color and mode != CYCLIC:
             raise ValueError("fix_first_color is only sound in cyclic mode")
+        _assign(self, "mode", mode)
+        _assign(self, "limit", limit)
+        _assign(self, "fix_first_color", fix_first_color)
 
 
 def _successor_table(t: int, mode: str) -> list[list[int]]:
@@ -94,6 +105,9 @@ def _successor_table(t: int, mode: str) -> list[list[int]]:
 
 
 def _check_search_args(n: int, t: int) -> None:
+    # the public constructor's type rule, before the walk indexes by n and t
+    _require_int(n, "'n'")
+    _require_int(t, "'t'")
     _check_n(n)
     bound = search_bound()
     if n > bound:
@@ -188,8 +202,7 @@ class ComponentSpan(NamedTuple):
     h_prime_size: int
 
 
-@dataclass(frozen=True)
-class ProofDecomposition:
+class ProofDecomposition(_Record):
     """Structure of a valid coloring after removing interior-colored edges.
 
     Edges colored 1 or t ("boundary" edges) either form one connected block
@@ -201,29 +214,55 @@ class ProofDecomposition:
     values; ``m1``/``m2`` list the runs whose gap region sees color 1 / t.
     """
 
-    n: int
-    t: int
-    m: int
-    connected: bool
-    u_size: int
-    rotation: int
-    components: tuple[ComponentSpan, ...]
-    y: tuple[int, ...]
-    psi: tuple[int, ...]
-    horizontal: tuple[bool, ...]
-    m1: frozenset[int]
-    m2: frozenset[int]
+    __slots__ = (
+        "n",
+        "t",
+        "m",
+        "connected",
+        "u_size",
+        "rotation",
+        "components",
+        "y",
+        "psi",
+        "horizontal",
+        "m1",
+        "m2",
+    )
 
-    def __post_init__(self) -> None:
-        if not self.connected:
-            if len(self.psi) != 2 * self.m:
-                raise ValueError(f"psi must have 2m = {_show_int(2 * self.m)} entries")
-            if sum(self.psi) != self.n + 2 * self.m:
-                raise ValueError(
-                    f"psi must sum to n + 2m = {_show_int(self.n + 2 * self.m)}"
-                )
-            if self.horizontal.count(False) % 2:
+    def __init__(
+        self,
+        n: int,
+        t: int,
+        m: int,
+        connected: bool,
+        u_size: int,
+        rotation: int,
+        components: tuple[ComponentSpan, ...],
+        y: tuple[int, ...],
+        psi: tuple[int, ...],
+        horizontal: tuple[bool, ...],
+        m1: frozenset[int],
+        m2: frozenset[int],
+    ) -> None:
+        if not connected:
+            if len(psi) != 2 * m:
+                raise ValueError(f"psi must have 2m = {_show_int(2 * m)} entries")
+            if sum(psi) != n + 2 * m:
+                raise ValueError(f"psi must sum to n + 2m = {_show_int(n + 2 * m)}")
+            if horizontal.count(False) % 2:
                 raise ValueError("non-horizontal edges must be even in number")
+        _assign(self, "n", n)
+        _assign(self, "t", t)
+        _assign(self, "m", m)
+        _assign(self, "connected", connected)
+        _assign(self, "u_size", u_size)
+        _assign(self, "rotation", rotation)
+        _assign(self, "components", components)
+        _assign(self, "y", y)
+        _assign(self, "psi", psi)
+        _assign(self, "horizontal", horizontal)
+        _assign(self, "m1", m1)
+        _assign(self, "m2", m2)
 
     @property
     def psi_sum(self) -> int:

@@ -8,12 +8,11 @@ first and last colors, so the palette is consecutive on the color circle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from operator import sub
 from typing import NamedTuple
 
-from .model import CycleColoring
+from .model import CycleColoring, _assign, _Record
 
 __all__ = [
     "INTERVAL",
@@ -48,15 +47,30 @@ class Violation(NamedTuple):
     reason: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     """Structured verdict for one coloring under one mode."""
 
-    proper: bool
-    surjective: bool
-    mode_satisfied: bool
-    violations: tuple[Violation, ...]
-    missing_colors: frozenset[int]
+    __slots__ = (
+        "proper",
+        "surjective",
+        "mode_satisfied",
+        "violations",
+        "missing_colors",
+    )
+
+    def __init__(
+        self,
+        proper: bool,
+        surjective: bool,
+        mode_satisfied: bool,
+        violations: tuple[Violation, ...],
+        missing_colors: frozenset[int],
+    ) -> None:
+        _assign(self, "proper", proper)
+        _assign(self, "surjective", surjective)
+        _assign(self, "mode_satisfied", mode_satisfied)
+        _assign(self, "violations", violations)
+        _assign(self, "missing_colors", missing_colors)
 
     def to_json_dict(self) -> dict:
         return {

@@ -349,6 +349,16 @@ class TestTable:
         result = runner.invoke(main, ["table", "2"])
         assert result.exit_code == 2
 
+    def test_oracle_above_the_search_bound_refused(self, runner):
+        argv = ["table", "16", "--oracle-upto", "16"]
+        result = runner.invoke(main, argv, env={"CYCLIC_CHROMA_MAX_N": None})
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: n=15 exceeds the search bound 14 "
+            "(set CYCLIC_CHROMA_MAX_N to raise it)\n"
+        )
+
     def test_above_cap_refused(self, runner):
         result = runner.invoke(main, ["table", str(cli.TABLE_CAP + 1)])
         assert result.exit_code == 2

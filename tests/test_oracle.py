@@ -62,6 +62,32 @@ class TestExistsSearch:
         with pytest.raises(ValueError):
             exists_search(6, 3, "wrap")
 
+    @pytest.mark.parametrize(
+        "search",
+        [
+            exists_search,
+            count_colorings,
+            enumerate_colorings,
+            lambda n, t: theta_by_search(n),
+        ],
+        ids=["exists", "count", "enumerate", "theta"],
+    )
+    def test_sizes_must_be_ints(self, search):
+        # the public constructor's rule: 6.0 is refused, not walked
+        with pytest.raises(ValueError, match=r"^'n' must be an integer, got 6\.0$"):
+            search(6.0, 3)
+        with pytest.raises(ValueError, match=r"^'n' must be an integer, got True$"):
+            search(True, 1)
+
+    @pytest.mark.parametrize(
+        "search", [exists_search, count_colorings, enumerate_colorings]
+    )
+    def test_color_count_must_be_an_int(self, search):
+        with pytest.raises(ValueError, match=r"^'t' must be an integer, got 3\.0$"):
+            search(6, 3.0)
+        with pytest.raises(ValueError, match=r"^'t' must be an integer, got '3'$"):
+            search(6, "3")
+
 
 class TestSearchBound:
     def test_default(self, monkeypatch):
@@ -226,6 +252,15 @@ class TestSearchConfig:
     def test_bad_limit(self):
         with pytest.raises(ValueError):
             SearchConfig(limit=0)
+
+    @pytest.mark.parametrize("limit", [2.5, 2.0, "3", True])
+    def test_limit_must_be_an_int(self, limit):
+        message = f"^limit must be an integer, got {limit!r}$"
+        with pytest.raises(ValueError, match=message):
+            SearchConfig(limit=limit)
+
+    def test_int_limit_truncates(self):
+        assert len(enumerate_colorings(6, 3, SearchConfig(limit=2))) == 2
 
     def test_fixing_requires_cyclic(self):
         with pytest.raises(ValueError):
