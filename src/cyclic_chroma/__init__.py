@@ -2,38 +2,21 @@
 
 Closed-form feasibility, deterministic witness construction, validity
 checking, and an exhaustive-search oracle for cross-validation.
-
-Importing the package loads none of its modules.  The first public name
-asked of it (or ``__all__``, or ``from cyclic_chroma import *``) loads all
-five and binds their public names here, so a command-line process loads
-only the modules its command uses.
 """
+
+from . import characterization, constructor, model, oracle, verifier
+from .characterization import *
+from .constructor import *
+from .model import *
+from .oracle import *
+from .verifier import *
 
 __version__ = "0.1.0"
 
-_MODULES = ("model", "characterization", "constructor", "verifier", "oracle")
-
-
-def __getattr__(name: str):
-    _load()
-    try:
-        return globals()[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-
-
-def __dir__() -> list[str]:
-    _load()
-    return sorted(globals())
-
-
-def _load() -> None:
-    """Import the five modules and bind their public names and ``__all__``."""
-    from importlib import import_module
-
-    names: list[str] = []
-    for part in _MODULES:
-        module = import_module(f"{__name__}.{part}")
-        names += module.__all__
-        globals().update((name, getattr(module, name)) for name in module.__all__)
-    globals()["__all__"] = names
+__all__ = [
+    *model.__all__,
+    *characterization.__all__,
+    *constructor.__all__,
+    *verifier.__all__,
+    *oracle.__all__,
+]

@@ -24,13 +24,16 @@ from .characterization import (
     theta_interval,
 )
 from .constructor import Infeasible, construct
-from .model import _PLAIN_INT, CycleColoring, _check_n
+from .model import CycleColoring, _check_n
+from .oracle import (
+    _PLAIN_INT,
+    SearchBoundExceeded,
+    _decompose_verified,
+    count_colorings,
+    exists_search,
+    theta_by_search,
+)
 from .verifier import CYCLIC, INTERVAL, verify
-
-# The search module is imported only inside the commands that search
-# (`oracle`, `table --oracle-upto` and `decompose`), so the others never
-# load it.
-_ORACLE = f"{__package__}.oracle"
 
 
 class PlainIntType(click.ParamType):
@@ -140,19 +143,9 @@ class _RefusingGroup(click.Group):
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except (ValueError, *_search_refusals()) as exc:
+        except (ValueError, SearchBoundExceeded) as exc:
             click.echo(f"error: {exc}", err=True)
             ctx.exit(2)
-
-
-def _search_refusals() -> tuple[type[Exception], ...]:
-    """SearchBoundExceeded, once the search module is loaded; else nothing.
-
-    Only a loaded search module can raise it, so a command that never
-    loads one needs no import to recognise it.
-    """
-    module = sys.modules.get(_ORACLE)
-    return () if module is None else (module.SearchBoundExceeded,)
 
 
 @click.group(cls=_RefusingGroup)
@@ -262,8 +255,6 @@ def oracle(
     as_json: bool,
 ) -> None:
     """Exhaustively decide feasibility for each T in [TMIN, TMAX]."""
-    from .oracle import count_colorings, exists_search
-
     _check_n(n)
     if tmax is None:
         tmax = n
@@ -326,8 +317,6 @@ def table(nmax: int, oracle_upto: int | None, fmt: str, as_json: bool) -> None:
     if nmax > TABLE_CAP:
         raise ValueError(f"refusing to build a table for NMAX={nmax} (cap {TABLE_CAP})")
     with_oracle = oracle_upto is not None
-    if with_oracle:
-        from .oracle import theta_by_search
     rows: list[dict] = []
     for n in range(3, nmax + 1):
         theta_formula = theta_cyclic(n).members
@@ -370,8 +359,6 @@ def decompose(src: str | None, as_json: bool) -> None:
             click.echo("not a valid cyclic-mode coloring:")
             _echo_violations(report)
         sys.exit(1)
-    from .oracle import _decompose_verified
-
     d = _decompose_verified(coloring)
     if as_json:
         click.echo(_dumps(d.to_json_dict()))

@@ -23,7 +23,6 @@ generator.
 from __future__ import annotations
 
 import operator
-import re
 from collections.abc import Set
 from math import log10, trunc
 
@@ -36,10 +35,6 @@ __all__ = [
 
 
 _RECORD_FIELDS = {"n", "t", "colors"}
-
-# an unsigned decimal integer without leading zeros: the form of the CLI's
-# integer arguments and of CYCLIC_CHROMA_MAX_N
-_PLAIN_INT = re.compile(r"^(0|[1-9][0-9]*)$")
 
 # a record's __init__ sets its fields with this, past the frozen __setattr__
 _assign = object.__setattr__

@@ -12,13 +12,13 @@ holding O(n) state, so a raised bound is capped at MATERIALIZE_CAP.
 from __future__ import annotations
 
 import os
+import re
 from itertools import compress, count, repeat
 from operator import add, eq, ne, sub
 from typing import Iterator, NamedTuple
 
 from .characterization import MATERIALIZE_CAP, PROVENANCE_SEARCH, ThetaSet
 from .model import (
-    _PLAIN_INT,
     CycleColoring,
     _assign,
     _check_n,
@@ -46,6 +46,8 @@ __all__ = [
 
 DEFAULT_MAX_N = 14
 MAX_N_ENV_VAR = "CYCLIC_CHROMA_MAX_N"
+
+_PLAIN_INT = re.compile(r"^(0|[1-9][0-9]*)$")
 
 
 class SearchBoundExceeded(Exception):
