@@ -313,7 +313,7 @@ def oracle(
 @click.option("--json", "as_json", is_flag=True, help="Emit a JSON object.")
 def table(nmax: int, oracle_upto: int | None, fmt: str, as_json: bool) -> None:
     """Reference table for n in [3, NMAX]: chromatic index, feasible set, gap."""
-    _require(nmax >= 3, "NMAX must be at least 3")
+    _check_n(nmax)
     if nmax > TABLE_CAP:
         raise ValueError(f"refusing to build a table for NMAX={nmax} (cap {TABLE_CAP})")
     with_oracle = oracle_upto is not None

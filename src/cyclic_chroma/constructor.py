@@ -12,8 +12,8 @@ Two canonical patterns cover the whole feasibility region:
 
 from __future__ import annotations
 
-from .characterization import _check_cap, _gap, chi_prime, contains
-from .model import CycleColoring, _check_n, _require_int, _show_int
+from .characterization import _check_cap, _gap, _split
+from .model import CycleColoring, _require_int, _show_int
 
 __all__ = [
     "REASON_RANGE",
@@ -46,21 +46,14 @@ class Infeasible(Exception):
         self.message = message
 
 
-def _check_size_args(n: int, t: int) -> None:
-    # the public constructor's type rule, before the unchecked build
-    _require_int(n, "'n'")
-    _require_int(t, "'t'")
-    _check_n(n)
-
-
 def zigzag_staircase(n: int, t: int) -> CycleColoring:
     """Alternating (1,2) prefix of length n-t, then the ascent 1..t.
 
     Requires chi'(n) <= t <= n with n-t even; refuses n above
     MATERIALIZE_CAP with ValueError.
     """
-    _check_size_args(n, t)
-    chi = chi_prime(n)
+    chi = _split(n)[0]
+    _require_int(t, "'t'")
     if not (chi <= t <= n) or (n - t) % 2 != 0:
         raise Infeasible(
             n,
@@ -80,8 +73,9 @@ def tent(n: int, t: int) -> CycleColoring:
     Requires even n and 2 <= t <= n/2+1; the result is interval-valid.
     Refuses n above MATERIALIZE_CAP with ValueError.
     """
-    _check_size_args(n, t)
-    if n % 2 != 0 or not (2 <= t <= n // 2 + 1):
+    chi, s = _split(n)
+    _require_int(t, "'t'")
+    if not chi <= t < s:
         raise Infeasible(
             n,
             t,
@@ -104,23 +98,18 @@ def construct(n: int, t: int) -> CycleColoring:
     input always yields the identical coloring.  A feasible n above
     MATERIALIZE_CAP is refused with ValueError, after the Infeasible checks.
     """
-    _check_size_args(n, t)
-    if not contains(n, t):
-        chi = chi_prime(n)
-        shown_t, shown_n = _show_int(t), _show_int(n)
-        if t < chi or t > n:
-            raise Infeasible(
-                n,
-                t,
-                REASON_RANGE,
-                f"t={shown_t} outside [{chi},{shown_n}] for C({shown_n})",
-            )
+    chi, s = _split(n)
+    _require_int(t, "'t'")
+    if not chi <= t <= n:
+        reason, where = REASON_RANGE, f"outside [{chi},{_show_int(n)}] for"
+    elif (n - t) % 2 == 0:
+        return zigzag_staircase(n, t)
+    elif t < s:
+        return tent(n, t)
+    else:
         gap = _gap(n)
         # len() of a range longer than sys.maxsize overflows; its slice's does not
         members = gap if len(gap[:4]) <= 3 else (gap[0], gap[1], "...", gap[-1])
         shown = ",".join(map(_show_int, members))
-        message = f"t={shown_t} in forbidden set {{{shown}}} of C({shown_n})"
-        raise Infeasible(n, t, REASON_FORBIDDEN, message)
-    if (n - t) % 2 == 0:
-        return zigzag_staircase(n, t)
-    return tent(n, t)
+        reason, where = REASON_FORBIDDEN, f"in forbidden set {{{shown}}} of"
+    raise Infeasible(n, t, reason, f"t={_show_int(t)} {where} C({_show_int(n)})")

@@ -7,10 +7,10 @@ All values are immutable and every operation is pure.
 
 The public ``CycleColoring(n, t, colors)`` constructor is the one strict
 boundary: n, t and every color must be ints (int subclasses such as an
-``IntEnum`` member pass, ``bool`` is refused), n >= 3 (``_check_n``),
-1 <= t <= n since a coloring uses all t colors on n edges (``_check_t``),
-there are n colors and each lies in [1, t]; every module checks sizes by
-those two rules.
+``IntEnum`` member pass, ``bool`` is refused), n >= 3, 1 <= t <= n since
+a coloring uses all t colors on n edges (``_check_t``), there are n colors
+and each lies in [1, t].  ``_check_n`` states the whole rule for n, int
+and size, so every entry that takes a cycle size checks it with one call.
 ``CycleColoring._trusted(n, t, colors)`` skips every check and is for
 builders whose output is right by construction: its caller guarantees
 n >= 3, 1 <= t <= n, a tuple of length n and every color an int in [1, t].
@@ -67,7 +67,10 @@ def _show_int(x: object) -> str:
 
 
 def _check_n(n: int) -> None:
-    # a comparison only: the closed forms call this on their hot path
+    # the whole rule for n; the closed forms call this on their hot path,
+    # where a plain int costs one type test and one comparison
+    if type(n) is not int:
+        _require_int(n, "'n'")
     if n < 3:
         raise ValueError(f"cycle size must be >= 3, got {_show_int(n)}")
 
@@ -191,13 +194,15 @@ def _int_between(x: object, lo: int, hi: int) -> int | None:
 
     O(1) for every x: only the bounds and one int are compared with it, so
     '3', None and Decimal('NaN') are answered without a scan, while 2.0,
-    Fraction(4), 4+0j and True stand for the int they equal.
+    Fraction(4), 4+0j, True and numpy.int64(4) stand for the int they equal.
     """
     if isinstance(x, complex):
         if x.imag:
             return None
         x = x.real
     try:
+        if hasattr(x, "__index__"):
+            x = operator.index(x)  # numpy.int64 defines no __trunc__
         if not lo <= x <= hi:
             return None
         i = trunc(x)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 import re
-from itertools import compress, count, repeat
+from itertools import compress, count, islice, repeat
 from operator import add, eq, ne, sub
 from typing import Iterator, NamedTuple
 
@@ -108,9 +108,8 @@ def _successor_table(t: int, mode: str) -> list[list[int]]:
 
 def _check_search_args(n: int, t: int) -> None:
     # the public constructor's type rule, before the walk indexes by n and t
-    _require_int(n, "'n'")
-    _require_int(t, "'t'")
     _check_n(n)
+    _require_int(t, "'t'")
     bound = search_bound()
     if n > bound:
         raise SearchBoundExceeded(
@@ -165,12 +164,8 @@ def enumerate_colorings(
     """All valid colorings in lexicographic order, truncated at config.limit."""
     cfg = config if config is not None else SearchConfig()
     _check_search_args(n, t)
-    out: list[CycleColoring] = []
-    for colors in _walks(n, t, cfg):
-        out.append(CycleColoring._trusted(n, t, colors))
-        if cfg.limit is not None and len(out) >= cfg.limit:
-            break
-    return out
+    walks = islice(_walks(n, t, cfg), cfg.limit)
+    return [CycleColoring._trusted(n, t, colors) for colors in walks]
 
 
 def count_colorings(n: int, t: int, mode: str = CYCLIC) -> int:

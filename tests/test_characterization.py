@@ -3,6 +3,7 @@ import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy
 import pytest
 
 from counting_probe import CountingProbe, HashOnlyProbe
@@ -29,7 +30,22 @@ LARGE_N = sorted({_RNG.randrange(1201, 10_001) for _ in range(150)})
 NON_INT_PROBES = [
     2.0, 2.5, "3", Decimal("NaN"), Decimal(4), None, Fraction(4),
     Fraction(9, 2), 4 + 0j, 4 + 1j, True, float("nan"), [], 1e300,
+    numpy.int64(4), numpy.int32(3),
 ]
+
+CLOSED_FORMS = [chi_prime, bounds_cyc, theta_cyclic, theta_interval, forbidden_set]
+
+
+@pytest.mark.parametrize(
+    "entry", [*CLOSED_FORMS, lambda n: contains(n, 3)],
+    ids=[*(f.__name__ for f in CLOSED_FORMS), "contains"],
+)
+@pytest.mark.parametrize("bad", [numpy.int64(6), 6.0, True], ids=repr)
+def test_closed_forms_refuse_a_non_int_size(entry, bad):
+    # the size rule construct and the search apply
+    with pytest.raises(ValueError) as info:
+        entry(bad)
+    assert str(info.value) == f"'n' must be an integer, got {bad!r}"
 
 
 class TestChiPrime:
@@ -186,6 +202,19 @@ class TestContains:
         assert contains(n, 2)
         assert not contains(n, n - 1)
         assert contains(n, n // 2 + 1)
+
+    def test_non_int_probes_answer_like_the_set(self):
+        for n in range(3, 201):
+            theta = theta_cyclic(n)
+            for x in NON_INT_PROBES:
+                assert contains(n, x) == (x in theta), (n, x)
+
+    def test_non_int_probes_past_the_cap(self):
+        n = 10**7
+        for x in (4.0, Fraction(4), 4 + 0j, numpy.int64(4)):
+            assert contains(n, x) == contains(n, 4) is True, x
+        for x in (4.5, "4", None, [], Decimal("NaN"), 4 + 1j):
+            assert contains(n, x) is False, x
 
 
 class TestTheoremConsistency:

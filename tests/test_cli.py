@@ -102,6 +102,26 @@ class TestCheck:
         assert result.exit_code == 1
         assert "v2" in result.output
 
+    def test_missing_colors_line(self, runner):
+        result = runner.invoke(main, ["check"], input='{"n":4,"t":4,"colors":[1,2,1,2]}')
+        assert result.exit_code == 1
+        assert result.stdout == (
+            "proper: yes\nsurjective: no\nmissing colors: {3,4}\nvalid (cyclic): no\n"
+        )
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ('{"n":3,"t":3,"colors":"123"}', "'colors' must be an array of integers"),
+            ('{"n":"3","t":3,"colors":5}', "'n' must be an integer, got '3'"),
+        ],
+    )
+    def test_colors_not_an_array(self, runner, record, message):
+        result = runner.invoke(main, ["check"], input=record)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: bad coloring record: {message}\n"
+
     def test_length_mismatch_is_parse_error(self, runner):
         result = runner.invoke(main, ["check"], input='{"n":4,"t":3,"colors":[1,2,1]}')
         assert result.exit_code == 2
@@ -346,8 +366,11 @@ class TestTable:
         assert lines[4].endswith(",,")
 
     def test_too_small(self, runner):
+        # the size refusal theta, make and oracle give
         result = runner.invoke(main, ["table", "2"])
         assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: cycle size must be >= 3, got 2\n"
 
     def test_oracle_above_the_search_bound_refused(self, runner):
         argv = ["table", "16", "--oracle-upto", "16"]

@@ -145,6 +145,13 @@ class TestConstruct:
             build(n, t)
         assert str(info.value) == f"{label} must be an integer, got {bad!r}"
 
+    @pytest.mark.parametrize("build", [construct, zigzag_staircase, tent])
+    def test_a_bad_size_is_named_before_a_bad_color_count(self, build):
+        with pytest.raises(ValueError, match=r"^cycle size must be >= 3, got 2$"):
+            build(2, 2.5)
+        with pytest.raises(ValueError, match=r"^'n' must be an integer, got 2\.0$"):
+            build(2.0, 2.5)
+
     def test_deterministic(self):
         assert construct(12, 7) == construct(12, 7)
 

@@ -5,6 +5,7 @@ from decimal import Decimal
 from enum import IntEnum
 from fractions import Fraction
 
+import numpy
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -158,7 +159,7 @@ class TestRangeSet:
         probes = [
             2.0, 2.5, "3", Decimal("NaN"), Decimal(4), None, Fraction(4),
             Fraction(9, 2), 4 + 0j, 4 + 1j, True, False, float("nan"),
-            float("inf"), Parity.ODD, 1e300,
+            float("inf"), Parity.ODD, 1e300, numpy.int64(4), numpy.int32(3),
         ]
         for x in probes:
             assert (x in rs) == (x in plain), x
@@ -259,6 +260,20 @@ class TestCycleColoring:
         with pytest.raises(ValueError) as info:
             CycleColoring.from_record(record)
         assert str(info.value) == f"'colors' entry must be an integer, got {shown}"
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"n": 3, "t": 3, "colors": "123"}, "'colors' must be an array of integers"),
+            ({"n": "3", "t": 3, "colors": 5}, "'n' must be an integer, got '3'"),
+            ({"n": 3, "t": 3.0, "colors": None}, "'t' must be an integer, got 3.0"),
+        ],
+    )
+    def test_record_refuses_colors_that_are_not_an_array(self, record, message):
+        # a bad n or t is named before the colors, as the constructor does
+        with pytest.raises(ValueError) as info:
+            CycleColoring.from_record(record)
+        assert str(info.value) == message
 
     def test_record_accepts_int_subclass_colors(self):
         record = {"n": 3, "t": 3, "colors": [Parity.ODD, 2, 3]}

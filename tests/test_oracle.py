@@ -82,6 +82,13 @@ class TestExistsSearch:
     @pytest.mark.parametrize(
         "search", [exists_search, count_colorings, enumerate_colorings]
     )
+    def test_a_bad_size_is_named_before_a_bad_color_count(self, search):
+        with pytest.raises(ValueError, match=r"^cycle size must be >= 3, got 2$"):
+            search(2, 2.5)
+
+    @pytest.mark.parametrize(
+        "search", [exists_search, count_colorings, enumerate_colorings]
+    )
     def test_color_count_must_be_an_int(self, search):
         with pytest.raises(ValueError, match=r"^'t' must be an integer, got 3\.0$"):
             search(6, 3.0)
