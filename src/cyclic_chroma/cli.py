@@ -3,8 +3,9 @@
 Exit codes are uniform across commands: 0 for success or a valid coloring,
 1 for infeasible / invalid / theorem disagreement, 2 for a refusal.  Every
 refusal is one ``error:`` line on standard error and exit 2: a cap, the
-search bound, a malformed coloring record, or a malformed
-CYCLIC_CHROMA_MAX_N.  Bad arguments get click's usage error, also exit 2.
+search bound, a malformed coloring record, a malformed CYCLIC_CHROMA_MAX_N,
+or a witness count with more digits than str() converts.  Bad arguments
+get click's usage error, also exit 2.
 With --json every command prints a single JSON object on standard output;
 diagnostics go to standard error.
 """
@@ -36,6 +37,24 @@ from .oracle import (
 from .verifier import CYCLIC, INTERVAL, verify
 
 
+def _int_digit_limit() -> int:
+    """The most digits int() and str() convert; 0 for no limit.
+
+    The limit exists from Python 3.10.7 on.
+    """
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _require_printable(value: int, label: str) -> None:
+    """Refuse an int that str() and json.dumps would refuse for its length."""
+    limit = _int_digit_limit()
+    # 10**limit > 2**(3 * limit): a shorter int needs no power of ten built
+    if limit and value.bit_length() > 3 * limit and value >= 10**limit:
+        raise ValueError(
+            f"{label} has more than the {limit} digits this interpreter converts"
+        )
+
+
 class PlainIntType(click.ParamType):
     """Unsigned decimal integers; signs and leading zeros are rejected."""
 
@@ -50,8 +69,7 @@ class PlainIntType(click.ParamType):
                 param,
                 ctx,
             )
-        # the limit exists from Python 3.10.7 on; 0 means no limit
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        limit = _int_digit_limit()
         if limit and len(value) > limit:
             raise ValueError(
                 f"{param.human_readable_name} has {len(value)} digits, "
@@ -237,7 +255,9 @@ def check(src: str | None, mode: str, as_json: bool) -> None:
 @click.option("--tmin", type=PLAIN_INT, default=1, show_default=True)
 @click.option("--tmax", type=PLAIN_INT, default=None, help="Defaults to N.")
 @click.option("--mode", type=_MODE_CHOICE, default=CYCLIC, show_default=True)
-@click.option("--count", "with_count", is_flag=True, help="Also count all witnesses.")
+@click.option(
+    "--count", "with_count", is_flag=True, help="Also count all witnesses, by formula."
+)
 @click.option(
     "--assert-theorem",
     "check_formula",
@@ -261,11 +281,12 @@ def oracle(
     _require(1 <= tmin <= tmax <= n, "need 1 <= tmin <= tmax <= N")
     rows: list[dict] = []
     for t in range(tmin, tmax + 1):
+        # exists by search even with --count, whose count is a formula, so
+        # --assert-theorem always holds the theorem to an exhaustive search
+        row: dict = {"t": t, "exists": exists_search(n, t, mode)}
         if with_count:
-            count = count_colorings(n, t, mode)
-            row: dict = {"t": t, "exists": count > 0, "count": count}
-        else:
-            row = {"t": t, "exists": exists_search(n, t, mode)}
+            row["count"] = count = count_colorings(n, t, mode)
+            _require_printable(count, f"the count for t={t}")
         rows.append(row)
     agree = None
     if check_formula:

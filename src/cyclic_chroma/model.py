@@ -194,7 +194,8 @@ def _int_between(x: object, lo: int, hi: int) -> int | None:
 
     O(1) for every x: only the bounds and one int are compared with it, so
     '3', None and Decimal('NaN') are answered without a scan, while 2.0,
-    Fraction(4), 4+0j, True and numpy.int64(4) stand for the int they equal.
+    Fraction(4), 4+0j, True, numpy.int64(4), numpy.True_ and
+    numpy.float32(4) stand for the int they equal.
     """
     if isinstance(x, complex):
         if x.imag:
@@ -205,7 +206,9 @@ def _int_between(x: object, lo: int, hi: int) -> int | None:
             x = operator.index(x)  # numpy.int64 defines no __trunc__
         if not lo <= x <= hi:
             return None
-        i = trunc(x)
+        # numpy.bool_ and numpy.float32 define neither __index__ nor
+        # __trunc__; int() maps them, and the == below keeps int('3') out
+        i = trunc(x) if hasattr(x, "__trunc__") else int(x)
     except (TypeError, ValueError, ArithmeticError):
         # x does not order against int (a str, None, a Decimal NaN)
         return None

@@ -30,7 +30,7 @@ LARGE_N = sorted({_RNG.randrange(1201, 10_001) for _ in range(150)})
 NON_INT_PROBES = [
     2.0, 2.5, "3", Decimal("NaN"), Decimal(4), None, Fraction(4),
     Fraction(9, 2), 4 + 0j, 4 + 1j, True, float("nan"), [], 1e300,
-    numpy.int64(4), numpy.int32(3),
+    numpy.int64(4), numpy.int32(3), numpy.True_, numpy.False_, numpy.float32(4),
 ]
 
 CLOSED_FORMS = [chi_prime, bounds_cyc, theta_cyclic, theta_interval, forbidden_set]
@@ -211,9 +211,9 @@ class TestContains:
 
     def test_non_int_probes_past_the_cap(self):
         n = 10**7
-        for x in (4.0, Fraction(4), 4 + 0j, numpy.int64(4)):
+        for x in (4.0, Fraction(4), 4 + 0j, numpy.int64(4), numpy.float32(4)):
             assert contains(n, x) == contains(n, 4) is True, x
-        for x in (4.5, "4", None, [], Decimal("NaN"), 4 + 1j):
+        for x in (4.5, "4", None, [], Decimal("NaN"), 4 + 1j, numpy.True_):
             assert contains(n, x) is False, x
 
 

@@ -1,6 +1,7 @@
 import importlib.metadata
 import json
 import re
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from cyclic_chroma import MATERIALIZE_CAP, cli, oracle, verifier
-from cyclic_chroma.cli import main
+from cyclic_chroma.cli import _require_printable, main
 
 GOLDEN = Path(__file__).parent / "data" / "table8.csv"
 PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
@@ -220,6 +221,50 @@ class TestOracle:
         assert result.exit_code == 0
         assert "t=3 yes count=12" in result.output
         assert "t=4 yes count=8" in result.output
+
+    def test_count_keeps_exists_from_the_search(self, runner, monkeypatch):
+        # the count is a formula; exists stays a search, so --assert-theorem
+        # holds the theorem to an exhaustive search with --count too
+        searched = []
+
+        def searching(n, t, mode):
+            searched.append(t)
+            return oracle.exists_search(n, t, mode)
+
+        monkeypatch.setattr(cli, "exists_search", searching)
+        result = runner.invoke(
+            main, ["oracle", "6", "--count", "--assert-theorem", "--json"]
+        )
+        assert result.exit_code == 0
+        assert searched == [1, 2, 3, 4, 5, 6]
+        rows = json.loads(result.output)["rows"]
+        assert [r["exists"] for r in rows] == [r["count"] > 0 for r in rows]
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this interpreter converts ints of any length",
+    )
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_count_past_the_digit_limit_refused(self, runner, extra):
+        # the count has ≈4,500 digits: found at once, never printed
+        result = runner.invoke(
+            main,
+            ["oracle", "15000", "--tmin", "4", "--tmax", "4", "--count", *extra],
+            env={"CYCLIC_CHROMA_MAX_N": "20000"},
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: the count for t=4 has more than the "
+            f"{sys.get_int_max_str_digits()} digits this interpreter converts\n"
+        )
+
+    def test_printable_up_to_the_digit_limit(self, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 40, raising=False)
+        _require_printable(10**40 - 1, "x")
+        _require_printable(2**120, "x")  # more than 3 * 40 bits, 37 digits
+        with pytest.raises(ValueError, match="^x has more than the 40 digits"):
+            _require_printable(10**40, "x")
 
     def test_bound_exceeded(self, runner):
         result = runner.invoke(main, ["oracle", "20"])

@@ -154,15 +154,17 @@ class TestRangeSet:
             RangeSet(range(9, 3, -2))
 
     def test_non_int_probes_answer_like_a_set(self):
-        r = range(1, 9)
-        rs, plain = RangeSet(r), set(r)
         probes = [
             2.0, 2.5, "3", Decimal("NaN"), Decimal(4), None, Fraction(4),
             Fraction(9, 2), 4 + 0j, 4 + 1j, True, False, float("nan"),
             float("inf"), Parity.ODD, 1e300, numpy.int64(4), numpy.int32(3),
+            # no __index__ and no __trunc__
+            numpy.True_, numpy.False_, numpy.float32(3), numpy.float32(2.5),
         ]
-        for x in probes:
-            assert (x in rs) == (x in plain), x
+        for r in (range(1, 9), range(0, 9)):
+            rs, plain = RangeSet(r), set(r)
+            for x in probes:
+                assert (x in rs) == (x in plain), (r, x)
         with pytest.raises(TypeError):
             [] in rs
         with pytest.raises(TypeError):

@@ -1,5 +1,6 @@
 import gc
 import sys
+import tracemalloc
 
 import pytest
 
@@ -102,6 +103,9 @@ class TestSearchBound:
         assert search_bound() == 14
         with pytest.raises(SearchBoundExceeded):
             exists_search(15, 3)
+        # the count needs no search, but answers under the same bound
+        with pytest.raises(SearchBoundExceeded):
+            count_colorings(15, 3)
 
     def test_env_override_down(self, monkeypatch):
         monkeypatch.setenv("CYCLIC_CHROMA_MAX_N", "10")
@@ -142,6 +146,7 @@ class TestSearchBound:
         monkeypatch.setenv("CYCLIC_CHROMA_MAX_N", str(n))
         for mode in (CYCLIC, INTERVAL):
             assert count_colorings(n, 2, mode) == 2, mode
+            assert len(enumerate_colorings(n, 2, SearchConfig(mode=mode))) == 2, mode
 
     def test_env_rejects_junk(self, monkeypatch):
         monkeypatch.setenv("CYCLIC_CHROMA_MAX_N", "012")
@@ -209,12 +214,24 @@ class TestEnumerate:
                         ), (c.colors, i)
 
 
+def _assert_three_counts_agree(sizes) -> None:
+    # count_colorings, the frozen binomial rows of tests/walk_count.py and
+    # the depth-first walk are three independent counts
+    for n in sizes:
+        for mode in (CYCLIC, INTERVAL):
+            cfg = SearchConfig(mode=mode)
+            got = [count_colorings(n, t, mode) for t in range(1, n + 1)]
+            walked = [sum(1 for _ in _walks(n, t, cfg)) for t in range(1, n + 1)]
+            assert walk_counts(n, mode)[1:] == got == walked, (n, mode)
+
+
 class TestAgainstWalkCount:
     def test_counts_match_search(self):
-        for n in range(3, 15):
-            for mode in (CYCLIC, INTERVAL):
-                got = [count_colorings(n, t, mode) for t in range(1, n + 1)]
-                assert walk_counts(n, mode)[1:] == got, (n, mode)
+        _assert_three_counts_agree(range(3, 15))
+
+    def test_counts_match_search_past_the_default_bound(self, monkeypatch):
+        monkeypatch.setenv("CYCLIC_CHROMA_MAX_N", "16")
+        _assert_three_counts_agree([15, 16])
 
     def test_existence_matches_formulas(self):
         for n in range(3, 121):
@@ -223,6 +240,30 @@ class TestAgainstWalkCount:
             for t in range(1, n + 1):
                 assert (cyc[t] > 0) == contains(n, t), (n, t)
                 assert (itv[t] > 0) == (t in theta_interval(n)), (n, t)
+
+    def test_count_is_positive_exactly_when_feasible(self, monkeypatch):
+        monkeypatch.setenv("CYCLIC_CHROMA_MAX_N", "120")
+        for n in range(3, 121):
+            interval = theta_interval(n)
+            for t in range(1, n + 1):
+                assert (count_colorings(n, t) > 0) == contains(n, t), (n, t)
+                positive = count_colorings(n, t, INTERVAL) > 0
+                assert positive == (t in interval), (n, t)
+
+    @pytest.mark.parametrize("t", [2, 3, 10_001])
+    def test_count_keeps_no_row_of_binomials(self, monkeypatch, t):
+        # a row of C(20000, j) would take ≈25 MB; one binomial takes 2.5 kB
+        n = 20_000
+        monkeypatch.setenv("CYCLIC_CHROMA_MAX_N", str(n))
+        count_colorings(3, 3)  # warm up: imports and caches of its own
+        tracemalloc.start()
+        try:
+            count = count_colorings(n, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert (count > 0) == contains(n, t)
 
 
 class TestWalkCleanup:
