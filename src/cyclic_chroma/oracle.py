@@ -4,11 +4,15 @@ plus a structure report.
 The search (``exists_search``, ``enumerate_colorings``, ``theta_by_search``)
 walks the color circle: after fixing the first edge, each further edge may
 only take a color adjacent to its predecessor (consecutive, or the 1/t wrap
-in cyclic mode), and the last edge must close back on the first.  Branches
-die as soon as the unused-color count exceeds the edges left, so the tree
-has at most t * 2^(n-1) nodes and the default bound n <= 14 stays well
-under a second per query.  The walk is one loop over an explicit stack
-holding O(n) state, so a raised bound is capped at MATERIALIZE_CAP.
+in cyclic mode), and the last edge must close back on the first.  An odd n
+on a color graph whose steps are all odd (interval mode, t <= 2, or even t
+in cyclic mode) is answered before the walk starts: every edge flips the
+color's parity, so no closed walk of odd length exists.  Otherwise branches
+die as soon as the unused-color count exceeds the edges left; the default
+bound n <= 14 stays well under a second per query, but a raised bound can
+still meet an exponential tree (an even n with a tent's t near n/2).  The
+walk is one loop over an explicit stack holding O(n) state, so a raised
+bound is capped at MATERIALIZE_CAP.
 
 ``count_colorings`` runs no search.  A valid coloring is a closed n-step
 walk that visits every vertex of the color graph, so the count is a sum of
@@ -109,10 +113,13 @@ class SearchConfig(_Record):
 
 
 def _successor_table(t: int, mode: str) -> list[list[int]]:
-    """succ[a] lists the colors allowed next to a, ascending; index 0 unused."""
-    steps = _steps(t, mode)
-    colors = range(1, t + 1)
-    return [[]] + [[b for b in colors if b != a and b - a in steps] for a in colors]
+    """succ[a] lists the colors allowed next to a, ascending; index 0 unused.
+
+    At most two of the steps land in [1, t] from any color, so the table
+    takes O(t) work; the steps are taken in ascending order.
+    """
+    steps = sorted(_steps(t, mode))
+    return [[]] + [[a + d for d in steps if 1 <= a + d <= t] for a in range(1, t + 1)]
 
 
 def _check_search_args(n: int, t: int) -> None:
@@ -133,7 +140,13 @@ def _walks(n: int, t: int, cfg: SearchConfig) -> Iterator[tuple[int, ...]]:
 
     One loop, no frame per edge: stack[k] iterates the colors left to try on
     edge k + 1, and ``missing`` counts the colors seq does not use yet.
+
+    Parity rule: when every allowed step is odd (interval mode, t <= 2, or
+    even t in cyclic mode), each edge flips the parity of the color, so a
+    closed walk has even length and an odd n yields nothing, at once.
     """
+    if n % 2 and all(d % 2 for d in _steps(t, cfg.mode)):
+        return
     succ = _successor_table(t, cfg.mode)
     seq = [0] * n
     seen = [0] * (t + 1)

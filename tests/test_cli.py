@@ -1,6 +1,8 @@
 import importlib.metadata
 import json
+import os
 import re
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -13,6 +15,7 @@ from cyclic_chroma.cli import _require_printable, main
 
 GOLDEN = Path(__file__).parent / "data" / "table8.csv"
 PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
+SRC = Path(__file__).parents[1] / "src"
 
 
 @pytest.fixture
@@ -382,6 +385,28 @@ class TestOracle:
         assert {r["t"]: r["exists"] for r in data["rows"]} == {
             1: False, 2: False, 3: True, 4: False, 5: True,
         }
+
+    @pytest.mark.parametrize(
+        "argv, agree, exists",
+        [
+            (["999", "--mode", "interval", "--assert-theorem"], True, False),
+            (["999", "--tmin", "4", "--tmax", "4"], None, False),
+        ],
+    )
+    def test_odd_n_on_bipartite_color_graph_answers_at_once(self, argv, agree, exists):
+        # every step of P_t, and of C_t for even t, flips the color's parity,
+        # so an odd cycle has no coloring and the search stops before its
+        # tree; a real process with a timeout, so a search that walks the
+        # tree fails the test instead of hanging it
+        proc = subprocess.run(
+            [sys.executable, "-m", "cyclic_chroma.cli", "oracle", *argv, "--json"],
+            env=dict(os.environ, PYTHONPATH=str(SRC), CYCLIC_CHROMA_MAX_N="1000"),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads(proc.stdout)
+        assert data.get("agree") is agree
+        assert {r["exists"] for r in data["rows"]} == {exists}
 
 
 class TestTable:

@@ -26,6 +26,7 @@ from cyclic_chroma import (
     theta_interval,
 )
 from cyclic_chroma.oracle import _successor_table, _walks
+from cyclic_chroma.verifier import _steps
 
 
 class TestExistsSearch:
@@ -290,6 +291,18 @@ class TestSuccessorTable:
                         b for b in range(1, t + 1) if b != a and vertex_ok(a, b, t, mode)
                     ]
                     assert succ[a] == expected, (t, mode, a)
+
+    def test_equals_the_quadratic_comprehension(self):
+        # the rule written out directly: every color tried against every
+        # other, O(t^2)
+        for t in range(1, 300):
+            for mode in (CYCLIC, INTERVAL):
+                steps = _steps(t, mode)
+                colors = range(1, t + 1)
+                want = [[]] + [
+                    [b for b in colors if b != a and b - a in steps] for a in colors
+                ]
+                assert _successor_table(t, mode) == want, (t, mode)
 
 
 class TestSearchConfig:
