@@ -5,17 +5,17 @@ Exit codes are uniform across commands: 0 for success or a valid coloring,
 refusal is one ``error:`` line on standard error and exit 2: a cap, the
 search bound, a malformed coloring record, a malformed CYCLIC_CHROMA_MAX_N,
 or a witness count with more digits than str() converts.  Bad arguments
-get click's usage error, also exit 2.
+get argparse's ``usage:`` and ``error:`` lines, also exit 2.
 With --json every command prints a single JSON object on standard output;
 diagnostics go to standard error.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import sys
-
-import click
 
 from . import __version__
 from .characterization import (
@@ -34,7 +34,7 @@ from .oracle import (
     exists_search,
     theta_by_search,
 )
-from .verifier import CYCLIC, INTERVAL, verify
+from .verifier import CYCLIC, MODES, verify
 
 
 def _int_digit_limit() -> int:
@@ -55,31 +55,28 @@ def _require_printable(value: int, label: str) -> None:
         )
 
 
-class PlainIntType(click.ParamType):
-    """Unsigned decimal integers; signs and leading zeros are rejected."""
+def _plain_int(name: str):
+    """The argparse type of integer argument NAME: unsigned, no leading zeros.
 
-    name = "integer"
+    More digits than int() converts raise OverflowError, which argparse
+    passes on to ``main``; a ValueError would become a usage error.
+    """
 
-    def convert(self, value, param, ctx):
-        if isinstance(value, int):
-            return value
-        if not _PLAIN_INT.fullmatch(str(value)):
-            self.fail(
-                f"{value!r} is not an unsigned integer without leading zeros",
-                param,
-                ctx,
+    def convert(text: str) -> int:
+        if not _PLAIN_INT.fullmatch(text):
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not an unsigned integer without leading zeros"
             )
         limit = _int_digit_limit()
-        if limit and len(value) > limit:
-            raise ValueError(
-                f"{param.human_readable_name} has {len(value)} digits, "
+        if limit and len(text) > limit:
+            raise OverflowError(
+                f"{name} has {len(text)} digits, "
                 f"more than the {limit} this interpreter converts"
             )
-        return int(value)
+        return int(text)
 
+    return convert
 
-PLAIN_INT = PlainIntType()
-_MODE_CHOICE = click.Choice([CYCLIC, INTERVAL])
 
 # `table` refuses NMAX above this: its time, memory and output grow as NMAX².
 TABLE_CAP = 1000
@@ -119,16 +116,12 @@ def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise click.UsageError(message)
-
-
 def _read_coloring(src: str | None) -> CycleColoring:
     """Read a coloring record from a file path, '-', or standard input."""
     try:
         if src is None or src == "-":
-            text = click.get_text_stream("stdin").read()
+            # strict like a file: text stdin may use surrogateescape
+            text = sys.stdin.buffer.read().decode("utf-8")
         else:
             with open(src, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -148,42 +141,14 @@ def _read_coloring(src: str | None) -> CycleColoring:
 
 def _echo_violations(report) -> None:
     for v in report.violations:
-        click.echo(
+        print(
             f"violation: v{v.vertex} palette ({v.palette[0]},{v.palette[1]}) {v.reason}"
         )
     if report.missing_colors:
-        click.echo(f"missing colors: {_braced(sorted(report.missing_colors))}")
+        print(f"missing colors: {_braced(sorted(report.missing_colors))}")
 
 
-class _RefusingGroup(click.Group):
-    """Reports a library refusal as one ``error:`` line and exit 2."""
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except (ValueError, SearchBoundExceeded) as exc:
-            click.echo(f"error: {exc}", err=True)
-            ctx.exit(2)
-
-
-@click.group(cls=_RefusingGroup)
-@click.version_option(__version__, prog_name="cyclic-chroma")
-def main() -> None:
-    """Interval-like edge colorings of simple cycles: closed formulas,
-    canonical witnesses, verification, and an exhaustive-search oracle."""
-
-
-@main.command()
-@click.argument("n", type=PLAIN_INT)
-@click.option(
-    "--mode",
-    type=_MODE_CHOICE,
-    default=CYCLIC,
-    show_default=True,
-    help="Palette rule: plain interval, or interval on the color circle.",
-)
-@click.option("--json", "as_json", is_flag=True, help="Emit a JSON object.")
-def theta(n: int, mode: str, as_json: bool) -> None:
+def theta(n: int, mode: str, as_json: bool) -> int:
     """Print every feasible color count for the N-edge cycle."""
     ts = theta_cyclic(n) if mode == CYCLIC else theta_interval(n)
     if as_json:
@@ -196,26 +161,23 @@ def theta(n: int, mode: str, as_json: bool) -> None:
         if ts.members:
             obj["w"] = ts.members[0]
             obj["W"] = ts.members[-1]
-        click.echo(_dumps(obj))
-        return
+        print(_dumps(obj))
+        return 0
     label, tag = ("Θ", "cyc") if mode == CYCLIC else ("θ", "int")
     line = f"{label}(C({n})) = {_braced(ts.members)}"
     if ts.members:
         line += f"  w_{tag}={ts.members[0]} W_{tag}={ts.members[-1]}"
-    click.echo(line)
+    print(line)
+    return 0
 
 
-@main.command()
-@click.argument("n", type=PLAIN_INT)
-@click.argument("t", type=PLAIN_INT)
-@click.option("--json", "as_json", is_flag=True, help="Emit a JSON object.")
-def make(n: int, t: int, as_json: bool) -> None:
+def make(n: int, t: int, as_json: bool) -> int:
     """Emit the canonical witness coloring for (N, T), or why none exists."""
     try:
         coloring = construct(n, t)
     except Infeasible as exc:
         if as_json:
-            click.echo(
+            print(
                 _dumps(
                     {
                         "n": n,
@@ -227,69 +189,52 @@ def make(n: int, t: int, as_json: bool) -> None:
                 )
             )
         else:
-            click.echo(f"infeasible: {exc.message}")
-        sys.exit(1)
-    click.echo(_dumps(coloring.to_record()))
+            print(f"infeasible: {exc.message}")
+        return 1
+    print(_dumps(coloring.to_record()))
+    return 0
 
 
-@main.command()
-@click.argument("src", required=False, metavar="[INPUT]")
-@click.option("--mode", type=_MODE_CHOICE, default=CYCLIC, show_default=True)
-@click.option("--json", "as_json", is_flag=True, help="Emit the report as JSON.")
-def check(src: str | None, mode: str, as_json: bool) -> None:
+def check(src: str | None, mode: str, as_json: bool) -> int:
     """Verify a coloring record (file path, '-', or stdin)."""
     coloring = _read_coloring(src)
     report = verify(coloring, mode)
     if as_json:
-        click.echo(_dumps(report.to_json_dict()))
+        print(_dumps(report.to_json_dict()))
     else:
-        click.echo(f"proper: {_yn(report.proper)}")
-        click.echo(f"surjective: {_yn(report.surjective)}")
+        print(f"proper: {_yn(report.proper)}")
+        print(f"surjective: {_yn(report.surjective)}")
         _echo_violations(report)
-        click.echo(f"valid ({mode}): {_yn(report.mode_satisfied)}")
-    sys.exit(0 if report.mode_satisfied else 1)
+        print(f"valid ({mode}): {_yn(report.mode_satisfied)}")
+    return 0 if report.mode_satisfied else 1
 
 
-@main.command()
-@click.argument("n", type=PLAIN_INT)
-@click.option("--tmin", type=PLAIN_INT, default=1, show_default=True)
-@click.option("--tmax", type=PLAIN_INT, default=None, help="Defaults to N.")
-@click.option("--mode", type=_MODE_CHOICE, default=CYCLIC, show_default=True)
-@click.option(
-    "--count", "with_count", is_flag=True, help="Also count all witnesses, by formula."
-)
-@click.option(
-    "--assert-theorem",
-    "check_formula",
-    is_flag=True,
-    help="Compare search verdicts with the closed formula; exit 1 on mismatch.",
-)
-@click.option("--json", "as_json", is_flag=True, help="Emit a JSON object.")
 def oracle(
     n: int,
     tmin: int,
     tmax: int | None,
     mode: str,
-    with_count: bool,
-    check_formula: bool,
+    count: bool,
+    assert_theorem: bool,
     as_json: bool,
-) -> None:
+) -> int:
     """Exhaustively decide feasibility for each T in [TMIN, TMAX]."""
     _check_n(n)
     if tmax is None:
         tmax = n
-    _require(1 <= tmin <= tmax <= n, "need 1 <= tmin <= tmax <= N")
+    if not 1 <= tmin <= tmax <= n:
+        raise argparse.ArgumentError(None, "need 1 <= tmin <= tmax <= N")
     rows: list[dict] = []
     for t in range(tmin, tmax + 1):
         # exists by search even with --count, whose count is a formula, so
         # --assert-theorem always holds the theorem to an exhaustive search
         row: dict = {"t": t, "exists": exists_search(n, t, mode)}
-        if with_count:
-            row["count"] = count = count_colorings(n, t, mode)
-            _require_printable(count, f"the count for t={t}")
+        if count:
+            row["count"] = number = count_colorings(n, t, mode)
+            _require_printable(number, f"the count for t={t}")
         rows.append(row)
     agree = None
-    if check_formula:
+    if assert_theorem:
         # after the search, so an n above the search bound is refused first
         ts = theta_cyclic(n) if mode == CYCLIC else theta_interval(n)
         for r in rows:
@@ -299,40 +244,23 @@ def oracle(
         obj: dict = {"n": n, "mode": mode, "rows": rows}
         if agree is not None:
             obj["agree"] = agree
-        click.echo(_dumps(obj))
+        print(_dumps(obj))
     else:
         for r in rows:
             line = f"t={r['t']} {_yn(r['exists'])}"
-            if with_count:
+            if count:
                 line += f" count={r['count']}"
-            if check_formula:
+            if assert_theorem:
                 line += f" formula={_yn(r['formula'])}"
                 if r["formula"] != r["exists"]:
                     line += " MISMATCH"
-            click.echo(line)
+            print(line)
         if agree is not None:
-            click.echo(f"theorem agreement: {'ok' if agree else 'MISMATCH'}")
-    sys.exit(0 if agree in (None, True) else 1)
+            print(f"theorem agreement: {'ok' if agree else 'MISMATCH'}")
+    return 0 if agree in (None, True) else 1
 
 
-@main.command()
-@click.argument("nmax", type=PLAIN_INT)
-@click.option(
-    "--oracle-upto",
-    "oracle_upto",
-    type=PLAIN_INT,
-    default=None,
-    help="Also run the search oracle for every n up to this size.",
-)
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["csv", "markdown"]),
-    default="csv",
-    show_default=True,
-)
-@click.option("--json", "as_json", is_flag=True, help="Emit a JSON object.")
-def table(nmax: int, oracle_upto: int | None, fmt: str, as_json: bool) -> None:
+def table(nmax: int, oracle_upto: int | None, fmt: str, as_json: bool) -> int:
     """Reference table for n in [3, NMAX]: chromatic index, feasible set, gap."""
     _check_n(nmax)
     if nmax > TABLE_CAP:
@@ -353,8 +281,8 @@ def table(nmax: int, oracle_upto: int | None, fmt: str, as_json: bool) -> None:
             row["agree"] = found == theta_formula
         rows.append(row)
     if as_json:
-        click.echo(_dumps({"nmax": nmax, "oracle_upto": oracle_upto, "rows": rows}))
-        return
+        print(_dumps({"nmax": nmax, "oracle_upto": oracle_upto, "rows": rows}))
+        return 0
     members, lead, sep, end = _TABLE_STYLES[fmt]
     headers = ["n", "chi", "theta", "forbidden"]
     if with_oracle:
@@ -363,46 +291,115 @@ def table(nmax: int, oracle_upto: int | None, fmt: str, as_json: bool) -> None:
     if fmt == "markdown":
         grid.append(["---"] * len(headers))
     grid += [_table_cells(row, members, with_oracle) for row in rows]
-    click.echo("".join(f"{lead}{sep.join(cells)}{end}\n" for cells in grid), nl=False)
+    print("".join(f"{lead}{sep.join(cells)}{end}\n" for cells in grid), end="")
+    return 0
 
 
-@main.command()
-@click.argument("src", required=False, metavar="[INPUT]")
-@click.option("--json", "as_json", is_flag=True, help="Emit a JSON object.")
-def decompose(src: str | None, as_json: bool) -> None:
+def decompose(src: str | None, as_json: bool) -> int:
     """Structure report for a valid coloring: boundary runs, gaps, size identity."""
     coloring = _read_coloring(src)
     report = verify(coloring, CYCLIC)
     if not report.mode_satisfied:
         if as_json:
-            click.echo(_dumps(report.to_json_dict()))
+            print(_dumps(report.to_json_dict()))
         else:
-            click.echo("not a valid cyclic-mode coloring:")
+            print("not a valid cyclic-mode coloring:")
             _echo_violations(report)
-        sys.exit(1)
+        return 1
     d = _decompose_verified(coloring)
     if as_json:
-        click.echo(_dumps(d.to_json_dict()))
-        return
+        print(_dumps(d.to_json_dict()))
+        return 0
     if d.connected:
         if d.u_size == 0:
-            click.echo("case A: H₀ connected (U empty)")
+            print("case A: H₀ connected (U empty)")
         else:
-            click.echo("case A: H₀ connected (m=1)")
-        return
-    click.echo(f"case B: m={d.m} components, rotation offset {d.rotation}")
+            print("case A: H₀ connected (m=1)")
+        return 0
+    print(f"case B: m={d.m} components, rotation offset {d.rotation}")
     for s in d.components:
-        click.echo(
+        print(
             f"H{s.index}: zeta={s.zeta} eta={s.eta} "
             f"|H|={s.h_size} |H'|={s.h_prime_size}"
         )
-    click.echo(f"y = ({','.join(str(v) for v in d.y)})")
-    click.echo(f"psi = ({','.join(str(v) for v in d.psi)})")
-    click.echo(f"horizontal = ({','.join(_yn(h) for h in d.horizontal)})")
-    click.echo(f"M1={_braced(sorted(d.m1))} M2={_braced(sorted(d.m2))}")
+    print(f"y = ({','.join(str(v) for v in d.y)})")
+    print(f"psi = ({','.join(str(v) for v in d.psi)})")
+    print(f"horizontal = ({','.join(_yn(h) for h in d.horizontal)})")
+    print(f"M1={_braced(sorted(d.m1))} M2={_braced(sorted(d.m2))}")
     ok = d.psi_sum == d.n + 2 * d.m
-    click.echo(f"m={d.m}, Σψ={d.psi_sum}={d.n}+{2 * d.m} {'✓' if ok else '✗'}")
+    print(f"m={d.m}, Σψ={d.psi_sum}={d.n}+{2 * d.m} {'✓' if ok else '✗'}")
+    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Interval-like edge colorings of simple cycles: closed formulas,
+    canonical witnesses, verification, and an exhaustive-search oracle."""
+    parser = argparse.ArgumentParser(
+        prog="cyclic-chroma", description=main.__doc__, allow_abbrev=False
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"%(prog)s, version {__version__}"
+    )
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(run, *integers: str, src=False, mode=False) -> argparse.ArgumentParser:
+        # RUN's subparser: integers by name, INPUT and --mode if asked, --json
+        sub = commands.add_parser(
+            run.__name__, help=run.__doc__, description=run.__doc__, allow_abbrev=False
+        )
+        # the subparser reports a usage error that only RUN can see
+        sub.set_defaults(run=run, parser=sub)
+        for name in integers:
+            sub.add_argument(name.lower(), metavar=name, type=_plain_int(name))
+        if src:
+            sub.add_argument("src", nargs="?", metavar="INPUT")
+        if mode:
+            sub.add_argument(
+                "--mode", choices=MODES, default=CYCLIC, help="Default: %(default)s."
+            )
+        sub.add_argument(
+            "--json", dest="as_json", action="store_true", help="Emit a JSON object."
+        )
+        return sub
+
+    command(theta, "N", mode=True)
+    command(make, "N", "T")
+    command(check, src=True, mode=True)
+    sub = command(oracle, "N", mode=True)
+    sub.add_argument("--tmin", type=_plain_int("tmin"), default=1, help="Default: 1.")
+    sub.add_argument("--tmax", type=_plain_int("tmax"), help="Default: N.")
+    sub.add_argument(
+        "--count", action="store_true", help="Also count all witnesses, by formula."
+    )
+    sub.add_argument(
+        "--assert-theorem",
+        action="store_true",
+        help="Compare search verdicts with the closed formula; exit 1 on mismatch.",
+    )
+    sub = command(table, "NMAX")
+    sub.add_argument(
+        "--oracle-upto",
+        type=_plain_int("oracle_upto"),
+        help="Also run the search oracle for every n up to this size.",
+    )
+    sub.add_argument("--format", dest="fmt", choices=["csv", "markdown"], default="csv")
+    command(decompose, src=True)
+    try:
+        args = vars(parser.parse_args(argv))
+        run, sub = args.pop("run"), args.pop("parser")
+        code = run(**args)
+        sys.stdout.flush()  # so that a closed pipe is met here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early: exit 1 and write nothing more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except argparse.ArgumentError as exc:
+        sub.error(str(exc))
+    except (ValueError, OverflowError, SearchBoundExceeded) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -10,8 +10,8 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
+from cli_runner import CliRunner
 from naive_oracle import count_naive
 
 from cyclic_chroma import (

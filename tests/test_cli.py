@@ -8,7 +8,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+
+from cli_runner import CliRunner
 
 from cyclic_chroma import MATERIALIZE_CAP, cli, oracle, verifier
 from cyclic_chroma.cli import _require_printable, main
@@ -171,10 +172,16 @@ class TestCheck:
             "got t=1000000000000000000\n"
         )
 
-    def test_undecodable_file(self, runner, tmp_path):
-        path = tmp_path / "coloring.json"
-        path.write_bytes(b"\xff\xfe{}")
-        result = runner.invoke(main, ["check", str(path)])
+    @pytest.mark.parametrize("command", ["check", "decompose"])
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_undecodable_input(self, runner, tmp_path, source, command):
+        undecodable = b"\xff\xfe{}"
+        if source == "stdin":
+            result = runner.invoke(main, [command], input=undecodable)
+        else:
+            path = tmp_path / "coloring.json"
+            path.write_bytes(undecodable)
+            result = runner.invoke(main, [command, str(path)])
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr.startswith("error: cannot read input: 'utf-8' codec")
@@ -576,6 +583,46 @@ def test_cycle_too_small_refused_by_the_library(runner, argv):
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr == "error: cycle size must be >= 3, got 2\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theta", "6", "--js"],  # no abbreviated options
+        ["oracle", "6", "--tmin", "4", "--tmax", "2"],
+        ["theta", "6", "--mode", "bogus"],
+        ["theta", "-6"],
+        ["theta", "6", "7"],
+        ["theta"],
+        ["bogus"],
+        [],
+    ],
+    ids=lambda argv: " ".join(argv) or "no command",
+)
+def test_usage_errors(runner, argv):
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("usage: cyclic-chroma")
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_1_without_a_traceback(unbuffered):
+    # the reader left before the first write, as `head` does after its
+    # lines; buffered output meets the closed pipe when it is flushed
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cyclic_chroma.cli", "theta", "6"],
+            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED=unbuffered),
+            stdout=write, stderr=subprocess.PIPE, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 class TestNumericParsing:

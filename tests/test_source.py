@@ -97,10 +97,11 @@ def test_no_dataclasses_import():
 
 def test_the_cli_leaves_dataclasses_unloaded():
     # runs the CLI as `python -m cyclic_chroma.cli` would, and at exit
-    # writes whether the process loaded the class generator
+    # writes whether the process loaded the class generator or click
     probe = (
         "import atexit, runpy, sys\n"
-        "atexit.register(lambda: print('dataclasses' in sys.modules, file=sys.stderr))\n"
+        "atexit.register(lambda: print('dataclasses' in sys.modules,"
+        " 'click' in sys.modules, file=sys.stderr))\n"
         "runpy.run_module('cyclic_chroma.cli', run_name='__main__', alter_sys=True)\n"
     )
     proc = subprocess.run(
@@ -109,4 +110,4 @@ def test_the_cli_leaves_dataclasses_unloaded():
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines()[-1] == "False"
+    assert proc.stderr.splitlines()[-1] == "False False"
