@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import os
 import re
-from itertools import compress, count, islice, repeat
-from operator import add, eq, ne, sub
+from itertools import accumulate, compress, count, islice, repeat
+from operator import add, eq, sub
 from typing import Iterator, NamedTuple
 
 from .characterization import MATERIALIZE_CAP, PROVENANCE_SEARCH, ThetaSet
@@ -61,6 +61,13 @@ DEFAULT_MAX_N = 14
 MAX_N_ENV_VAR = "CYCLIC_CHROMA_MAX_N"
 
 _PLAIN_INT = re.compile(r"^(0|[1-9][0-9]*)$")
+
+# translations of decompose's edge marks (1 for color 1, 2 for color t):
+# to 1 for either boundary color, and to 1 for color t only; and of its
+# run-end bytes 2 + y to y
+_KEPT = bytes.maketrans(b"\x02", b"\x01")
+_TOP = bytes.maketrans(b"\x01\x02", b"\x00\x01")
+_Y = bytes.maketrans(b"\x02\x03", b"\x00\x01")
 
 
 class SearchBoundExceeded(Exception):
@@ -256,7 +263,8 @@ class ComponentSpan(NamedTuple):
     """One maximal run of boundary-colored edges, with its following gap.
 
     ``h_prime_size`` counts the gap edges plus the single boundary edge kept
-    on each side of the gap.
+    on each side of the gap.  No decomposition stores these:
+    ``ProofDecomposition.components`` builds them from psi on each access.
     """
 
     index: int
@@ -270,28 +278,27 @@ class ProofDecomposition(_Record):
     """Structure of a valid coloring after removing interior-colored edges.
 
     Edges colored 1 or t ("boundary" edges) either form one connected block
-    around the cycle (``connected``) or fall into m >= 2 runs.  In the latter
-    case the report records, per run, its span and following gap; ``y`` holds
-    the 0/1 profile of run-end colors (0 for color 1, 1 for color t); ``psi``
-    alternates run and gap sizes around an auxiliary 2m-cycle and always sums
-    to n + 2m; ``horizontal`` marks the auxiliary edges joining equal profile
-    values; ``m1``/``m2`` list the runs whose gap region sees color 1 / t.
+    around the cycle (``connected``, case A: m = 1 and y = psi = ()) or fall
+    into m >= 2 runs H_1..H_m (case B).  Eight fields are stored: n, t, m,
+    connected, u_size, rotation, and in case B
+
+    * ``psi``, which alternates run and gap sizes |H_1|, |H'_1|, |H_2|, ...
+      around an auxiliary 2m-cycle and sums to n + 2m; each run holds at
+      least one edge and each gap at least one interior edge, so
+      |H_q| >= 1 and |H'_q| >= 3;
+    * ``y``, the 0/1 profile of run-end colors zeta_1, eta_1, zeta_2, ...
+      (0 for color 1, 1 for color t).
+
+    The rest is read off these two: ``components`` lists each run's span
+    and following gap, ``horizontal`` marks the auxiliary edges joining
+    equal profile values, and ``m1``/``m2`` list the runs whose gap region
+    sees color 1 / t.  Each of the four is computed anew on each access in
+    O(m) C-level passes, so a caller that reads one in a loop binds it
+    once before the loop.  ``==``, ``hash``, ``repr`` and pickling follow
+    the eight stored fields.
     """
 
-    __slots__ = (
-        "n",
-        "t",
-        "m",
-        "connected",
-        "u_size",
-        "rotation",
-        "components",
-        "y",
-        "psi",
-        "horizontal",
-        "m1",
-        "m2",
-    )
+    __slots__ = ("n", "t", "m", "connected", "u_size", "rotation", "y", "psi")
 
     def __init__(
         self,
@@ -301,38 +308,80 @@ class ProofDecomposition(_Record):
         connected: bool,
         u_size: int,
         rotation: int,
-        components: tuple[ComponentSpan, ...],
         y: tuple[int, ...],
         psi: tuple[int, ...],
-        horizontal: tuple[bool, ...],
-        m1: frozenset[int],
-        m2: frozenset[int],
     ) -> None:
-        if not connected:
+        if connected:
+            if m != 1 or y or psi:
+                raise ValueError("a connected decomposition has m = 1 and no y or psi")
+        else:
+            if m < 2:
+                shown = _show_int(m)
+                raise ValueError(f"a split decomposition has m >= 2, got {shown}")
             if len(psi) != 2 * m:
                 raise ValueError(f"psi must have 2m = {_show_int(2 * m)} entries")
             if sum(psi) != n + 2 * m:
                 raise ValueError(f"psi must sum to n + 2m = {_show_int(n + 2 * m)}")
-            if horizontal.count(False) % 2:
-                raise ValueError("non-horizontal edges must be even in number")
+            if len(y) != 2 * m:
+                raise ValueError(f"y must have 2m = {_show_int(2 * m)} entries")
+            if not {0, 1}.issuperset(y):
+                raise ValueError("y entries must be 0 or 1")
+            if min(psi[0::2]) < 1:
+                raise ValueError("every run size |H_q| must be >= 1")
+            if min(psi[1::2]) < 3:
+                raise ValueError("every gap size |H'_q| must be >= 3")
         _assign(self, "n", n)
         _assign(self, "t", t)
         _assign(self, "m", m)
         _assign(self, "connected", connected)
         _assign(self, "u_size", u_size)
         _assign(self, "rotation", rotation)
-        _assign(self, "components", components)
         _assign(self, "y", y)
         _assign(self, "psi", psi)
-        _assign(self, "horizontal", horizontal)
-        _assign(self, "m1", m1)
-        _assign(self, "m2", m2)
+
+    def _runs(self) -> Iterator[tuple[int, int, int, int, int]]:
+        """(q, zeta_q, eta_q, |H_q|, |H'_q|) per run, from psi in C-level passes."""
+        h, gaps = self.psi[0::2], self.psi[1::2]
+        # zeta_1 = 1 and zeta_{q+1} = zeta_q + |H_q| + |H'_q| - 2
+        zeta = list(accumulate(map(sub, map(add, h, gaps), repeat(2)), initial=1))
+        # eta_q = zeta_q + |H_q| - 1
+        eta = map(sub, map(add, zeta, h), repeat(1))
+        return zip(count(1), zeta, eta, h, gaps)
+
+    @property
+    def components(self) -> tuple[ComponentSpan, ...]:
+        """Each run's span and following gap, in order; O(m) per access."""
+        return tuple(map(_new_tuple, repeat(ComponentSpan), self._runs()))
+
+    @property
+    def horizontal(self) -> tuple[bool, ...]:
+        """Whether y_j == y_{j+1} around the 2m-cycle; O(m) per access."""
+        y = self.y
+        return tuple(map(eq, y, y[1:] + y[:1]))
+
+    def _tops(self) -> Iterator[int]:
+        # The gap after run q holds interior colors only, so it sees 1 or t
+        # exactly when eta_q or zeta_{q+1} has it; tops counts how many of
+        # those two edges have color t.
+        y = self.y
+        return map(add, y[1::2], y[2::2] + y[:1])
+
+    @property
+    def m1(self) -> frozenset[int]:
+        """Runs whose gap region sees color 1; O(m) per access."""
+        return frozenset(compress(count(1), map((2).__gt__, self._tops())))
+
+    @property
+    def m2(self) -> frozenset[int]:
+        """Runs whose gap region sees color t; O(m) per access."""
+        return frozenset(compress(count(1), self._tops()))
 
     @property
     def psi_sum(self) -> int:
         return sum(self.psi)
 
     def to_json_dict(self) -> dict:
+        psi_sum = self.psi_sum
         return {
             "case": "A" if self.connected else "B",
             "n": self.n,
@@ -341,15 +390,17 @@ class ProofDecomposition(_Record):
             "connected": self.connected,
             "u_size": self.u_size,
             "rotation": self.rotation,
-            "components": [s._asdict() for s in self.components],
+            "components": [
+                {"index": q, "zeta": z, "eta": e, "h_size": h, "h_prime_size": g}
+                for q, z, e, h, g in self._runs()
+            ],
             "y": list(self.y),
             "psi": list(self.psi),
             "horizontal": list(self.horizontal),
             "m1": sorted(self.m1),
             "m2": sorted(self.m2),
-            "psi_sum": self.psi_sum,
-            "psi_identity_ok": self.connected
-            or self.psi_sum == self.n + 2 * self.m,
+            "psi_sum": psi_sum,
+            "psi_identity_ok": self.connected or psi_sum == self.n + 2 * self.m,
         }
 
 
@@ -359,9 +410,11 @@ def decompose(c: CycleColoring) -> ProofDecomposition:
     Edges are numbered as if the coloring were rotated so that edge 1
     starts the first run and edge n carries an interior color; ``rotation``
     records the offset.  Raises ValueError when the coloring is not
-    cyclic-mode valid.  The per-edge work is done in C-level passes over a
-    byte string that marks the boundary edges; Python objects are made per
-    run, not per edge.
+    cyclic-mode valid.  The per-edge work is done in C-level passes over
+    byte strings that mark the boundary edges.  The result stores psi and y
+    and no per-run object; its ``components``, ``horizontal``, ``m1`` and
+    ``m2`` are derived in O(m) on each access, so bind them once before a
+    loop.
     """
     if not verify(c, CYCLIC).mode_satisfied:
         raise ValueError("decompose requires a valid cyclic-mode coloring")
@@ -371,66 +424,36 @@ def decompose(c: CycleColoring) -> ProofDecomposition:
 def _decompose_verified(c: CycleColoring) -> ProofDecomposition:
     """decompose(c) for a coloring the caller has verified in cyclic mode."""
     n, t, colors = c.n, c.t, c.colors
-    kept = bytes(map({1, t}.__contains__, colors))
-    u_size = n - kept.count(1)
+    # one byte per edge: 1 for color 1, 2 for color t, 0 for an interior color
+    marks = bytes(map({1: 1, t: 2}.get, colors, repeat(0)))
+    u_size = marks.count(0)
+    kept = marks.translate(_KEPT)
     # runs start where a kept edge follows an interior one, around the cycle
     m = kept.count(b"\x00\x01") + (kept[0] > kept[-1])
     if m <= 1:
         # one run (or the whole cycle when no interior color exists)
-        return ProofDecomposition(
-            n=n,
-            t=t,
-            m=1,
-            connected=True,
-            u_size=u_size,
-            rotation=0,
-            components=(),
-            y=(),
-            psi=(),
-            horizontal=(),
-            m1=frozenset(),
-            m2=frozenset(),
-        )
+        return ProofDecomposition(n, t, 1, True, u_size, 0, (), ())
     offset = 0 if kept[0] > kept[-1] else kept.find(b"\x00\x01") + 1
-    kept = kept[offset:] + kept[:offset]
+    marks = marks[offset:] + marks[:offset]
+    # A byte string of 0s and 1s read as one big-endian int and shifted
+    # right by 8 bits is the same string moved one edge later, with 0 before
+    # edge 1; so these are C-level passes over n bytes.
+    kept = int.from_bytes(marks.translate(_KEPT), "big")
+    top = int.from_bytes(marks.translate(_TOP), "big")
     # In the rotated order edge 1 is kept and edge n is not, so the edges
-    # where keeping changes alternate: zeta_1, eta_1 + 1, zeta_2, eta_2 + 1, ...
-    bounds = list(compress(count(1), map(ne, kept, b"\x00" + kept[:-1])))
-    # psi alternates |H_q| = eta_q - zeta_q + 1 and
-    # |H'_q| = zeta_{q+1} - eta_q + 1, with zeta_{m+1} = n + 1.
-    psi = list(map(sub, bounds[1:] + [n + 1], bounds))
-    psi[1::2] = map(add, psi[1::2], repeat(2))
-    bounds[1::2] = map(sub, bounds[1::2], repeat(1))
-    # bounds now lists zeta_1, eta_1, zeta_2, ...; y is 0 where the color is
-    # 1 and 1 where it is t.  Rotated edge k is colors[k - 1 + offset - n],
-    # a valid index either way.
-    at = map(colors.__getitem__, map(add, bounds, repeat(offset - n - 1)))
-    y = list(map({1: 0, t: 1}.__getitem__, at))
-    # The gap after run q holds interior colors only, so it sees 1 or t
-    # exactly when eta_q or zeta_{q+1} has it; tops counts how many of those
-    # two edges have color t.
-    tops = list(map(add, y[1::2], y[2::2] + y[:1]))
-    index = list(range(1, m + 1))
-    # A list, unlike a tuple grown from an iterator, is not tracked anew by
-    # the garbage collector at each resize while it grows.
-    spans = list(
-        map(
-            _new_tuple,
-            repeat(ComponentSpan),
-            zip(index, bounds[0::2], bounds[1::2], psi[0::2], psi[1::2]),
-        )
-    )
-    return ProofDecomposition(
-        n=n,
-        t=t,
-        m=m,
-        connected=False,
-        u_size=u_size,
-        rotation=offset,
-        components=tuple(spans),
-        y=tuple(y),
-        psi=tuple(psi),
-        horizontal=tuple(map(eq, y, y[1:] + y[:1])),
-        m1=frozenset(compress(index, map((2).__gt__, tops))),
-        m2=frozenset(compress(index, tops)),
-    )
+    # whose keeping differs from the edge before alternate: zeta_1,
+    # eta_1 + 1, zeta_2, eta_2 + 1, ...  Cut at them, the cycle leaves an
+    # empty piece before edge 1, then pieces of |H_1| - 1, |H'_1| - 3,
+    # |H_2| - 1, ... edges: those after each change, up to the next one.
+    changes = kept ^ kept >> 8
+    psi = list(map(len, changes.to_bytes(n, "big").split(b"\x01")))
+    del psi[0]
+    psi[0::2] = map(add, psi[0::2], repeat(1))
+    psi[1::2] = map(add, psi[1::2], repeat(3))
+    # y holds 1 for each of zeta_1, eta_1, zeta_2, ... that has color t.  Of
+    # a change edge and the edge before it, one is interior (top byte 0) and
+    # the other is zeta_q or eta_q, so their OR reads y there.  Each change
+    # edge gets byte 2 + y and every other edge 0 or 1, which is deleted.
+    ends = (changes << 1 | top | top >> 8).to_bytes(n, "big")
+    y = tuple(ends.translate(_Y, b"\x00\x01"))
+    return ProofDecomposition(n, t, m, False, u_size, offset, y, tuple(psi))

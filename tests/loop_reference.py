@@ -3,9 +3,12 @@
 The library checks a coloring and splits it into boundary runs with passes
 that run in C (``map``, ``set``, ``bytes``, ``compress``).  These are the
 plain loops they replaced, one edge or one run per Python step; the tests
-require the library to return exactly what they return.  ``walks`` is the
-recursive generator the search's one-loop walk replaced, one nested
-generator per edge; the walk must yield exactly its tuples, in its order.
+require the library to return exactly what they return.  ``decompose``
+returns a plain mapping of the record's twelve values (its stored fields
+and its derived properties), so that it shares no code with the record.
+``walks`` is the recursive generator the search's one-loop walk replaced,
+one nested generator per edge; the walk must yield exactly its tuples, in
+its order.
 """
 
 from cyclic_chroma import (
@@ -16,7 +19,6 @@ from cyclic_chroma import (
     NOT_PROPER,
     ComponentSpan,
     CycleColoring,
-    ProofDecomposition,
     VerificationReport,
     Violation,
     rotate_edges,
@@ -66,7 +68,13 @@ def verify(c: CycleColoring, mode: str = CYCLIC) -> VerificationReport:
     )
 
 
-def decompose(c: CycleColoring) -> ProofDecomposition:
+def decompose(c: CycleColoring) -> dict:
+    """Every field and derived property of the decomposition, by name.
+
+    One Python step per edge and per run, as ``decompose`` was first written;
+    the library stores only psi and y and derives the rest, and must match
+    every value here.
+    """
     if not verify(c, CYCLIC).mode_satisfied:
         raise ValueError("decompose requires a valid cyclic-mode coloring")
     n, t = c.n, c.t
@@ -74,20 +82,20 @@ def decompose(c: CycleColoring) -> ProofDecomposition:
     kept = [x == 1 or x == t for x in c.colors]
     starts = [i for i in range(n) if kept[i] and not kept[i - 1]]
     if len(starts) <= 1:
-        return ProofDecomposition(
-            n=n,
-            t=t,
-            m=1,
-            connected=True,
-            u_size=len(interior),
-            rotation=0,
-            components=(),
-            y=(),
-            psi=(),
-            horizontal=(),
-            m1=frozenset(),
-            m2=frozenset(),
-        )
+        return {
+            "n": n,
+            "t": t,
+            "m": 1,
+            "connected": True,
+            "u_size": len(interior),
+            "rotation": 0,
+            "components": (),
+            "y": (),
+            "psi": (),
+            "horizontal": (),
+            "m1": frozenset(),
+            "m2": frozenset(),
+        }
     offset = starts[0]
     colors = rotate_edges(c, offset).colors
     kept = [x == 1 or x == t for x in colors]
@@ -127,20 +135,36 @@ def decompose(c: CycleColoring) -> ProofDecomposition:
             m2.add(q)
     two_m = 2 * m
     horizontal = tuple(y[j] == y[(j + 1) % two_m] for j in range(two_m))
-    return ProofDecomposition(
-        n=n,
-        t=t,
-        m=m,
-        connected=False,
-        u_size=len(interior),
-        rotation=offset,
-        components=tuple(components),
-        y=tuple(y),
-        psi=tuple(psi),
-        horizontal=horizontal,
-        m1=frozenset(m1),
-        m2=frozenset(m2),
-    )
+    return {
+        "n": n,
+        "t": t,
+        "m": m,
+        "connected": False,
+        "u_size": len(interior),
+        "rotation": offset,
+        "components": tuple(components),
+        "y": tuple(y),
+        "psi": tuple(psi),
+        "horizontal": horizontal,
+        "m1": frozenset(m1),
+        "m2": frozenset(m2),
+    }
+
+
+def decomposition_json(d: dict) -> dict:
+    """The JSON object of ``decompose --json`` for the mapping ``decompose`` returns."""
+    return {
+        "case": "A" if d["connected"] else "B",
+        **{k: d[k] for k in ("n", "t", "m", "connected", "u_size", "rotation")},
+        "components": [s._asdict() for s in d["components"]],
+        "y": list(d["y"]),
+        "psi": list(d["psi"]),
+        "horizontal": list(d["horizontal"]),
+        "m1": sorted(d["m1"]),
+        "m2": sorted(d["m2"]),
+        "psi_sum": sum(d["psi"]),
+        "psi_identity_ok": d["connected"] or sum(d["psi"]) == d["n"] + 2 * d["m"],
+    }
 
 
 def walks(n, t, mode=CYCLIC, fix_first_color=False):

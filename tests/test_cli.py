@@ -15,6 +15,7 @@ from cyclic_chroma import MATERIALIZE_CAP, cli, oracle, verifier
 from cyclic_chroma.cli import _require_printable, main
 
 GOLDEN = Path(__file__).parent / "data" / "table8.csv"
+DECOMPOSE_GOLDEN = Path(__file__).parent / "data" / "decompose"
 PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
 SRC = Path(__file__).parents[1] / "src"
 
@@ -575,6 +576,30 @@ class TestDecompose:
         assert data["psi"] == [1, 5, 2, 3]
         assert data["psi_sum"] == 11
         assert data["psi_identity_ok"] is True
+
+
+@pytest.mark.parametrize(
+    "case",
+    # case A with U empty, case A with one run, `make 11 5` (case B, m = 4),
+    # and tent(14, 5) rotated by 5 edges and shifted by 3 colors (m = 5)
+    ["make-6-2", "make-7-7", "make-11-5", "tent-14-5-rotated"],
+)
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_decompose_golden(runner, case, as_json):
+    # tests/data/decompose holds the exact bytes of each report; the CI
+    # workflow compares the same files with the output of real processes
+    if case.startswith("make-"):
+        made = runner.invoke(main, case.split("-"))
+        assert made.exit_code == 0
+        record = made.stdout
+    else:
+        record = (DECOMPOSE_GOLDEN / f"{case}.record").read_text("utf-8")
+    argv = ["decompose", "--json"] if as_json else ["decompose"]
+    result = runner.invoke(main, argv, input=record)
+    assert result.exit_code == 0
+    assert result.stderr == ""
+    golden = DECOMPOSE_GOLDEN / f"{case}.{'json' if as_json else 'txt'}"
+    assert result.stdout.encode("utf-8") == golden.read_bytes()
 
 
 @pytest.mark.parametrize("argv", [["theta", "2"], ["make", "2", "2"], ["oracle", "2"]])

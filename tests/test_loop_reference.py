@@ -1,8 +1,9 @@
 """``verify``, ``decompose`` and the search walk against the loops they replaced.
 
-Every field of the report, the order of the violations, the JSON of the
-decomposition (which tells ``1`` from ``true``), the component tuples and
-the walk's tuples, in order, must match ``loop_reference`` exactly.
+Every field of the report, the order of the violations, every stored field
+and derived property of the decomposition (with its type, which tells ``1``
+from ``True``), the JSON of the decomposition and the walk's tuples, in
+order, must match ``loop_reference`` exactly.
 """
 
 import json
@@ -39,8 +40,24 @@ def assert_matches_reference(c):
             decompose(c)
         return
     got, want = decompose(c), loop_reference.decompose(c)
-    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict()), c
-    assert got.components == want.components
+    for name, value in want.items():
+        assert_same(getattr(got, name), value, (c, name))
+    want_json = loop_reference.decomposition_json(want)
+    assert json.dumps(got.to_json_dict()) == json.dumps(want_json), c
+
+
+def assert_same(got, want, label):
+    """Equal, of the same type, and so for each entry of a tuple.
+
+    ``==`` alone takes 1 for True and a plain tuple for a ComponentSpan.
+    """
+    assert got == want, label
+    assert type(got) is type(want), label
+    if isinstance(want, tuple):
+        assert list(map(type, got)) == list(map(type, want)), label
+        for a, b in zip(got, want):
+            if isinstance(b, tuple):
+                assert list(map(type, a)) == list(map(type, b)), label
 
 
 def test_every_small_witness():

@@ -432,18 +432,14 @@ class TestHugeIntsInMessages:
             (
                 lambda: ProofDecomposition(
                     n=HUGE, t=3, m=2, connected=False, u_size=0, rotation=0,
-                    components=(), y=(0, 1, 1, 0), psi=(1, 1, 1, 1),
-                    horizontal=(False, True, False, True),
-                    m1=frozenset(), m2=frozenset(),
+                    y=(0, 1, 1, 0), psi=(1, 1, 1, 1),
                 ),
                 f"psi must sum to n + 2m = {_shown(HUGE + 4, 5001)}",
             ),
             (
                 lambda: ProofDecomposition(
                     n=7, t=3, m=HUGE, connected=False, u_size=0, rotation=0,
-                    components=(), y=(0, 1, 1, 0), psi=(1, 1, 1, 1),
-                    horizontal=(False, True, False, True),
-                    m1=frozenset(), m2=frozenset(),
+                    y=(0, 1, 1, 0), psi=(1, 1, 1, 1),
                 ),
                 f"psi must have 2m = {_shown(2 * HUGE, 5001)} entries",
             ),

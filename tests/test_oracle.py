@@ -385,13 +385,35 @@ class TestDecompose:
                 connected=False,
                 u_size=4,
                 rotation=0,
-                components=(),
                 y=(0, 0, 1, 0),
                 psi=(1, 1, 1, 1),
-                horizontal=(True, False, False, True),
-                m1=frozenset(),
-                m2=frozenset(),
             )
+
+    CONNECTED = "a connected decomposition has m = 1 and no y or psi"
+    Y = (0, 0, 1, 0)
+
+    @pytest.mark.parametrize(
+        "connected, m, y, psi, message",
+        [
+            (True, 2, (), (), CONNECTED),
+            (True, 1, (0, 1), (), CONNECTED),
+            (True, 1, (), (7, 2), CONNECTED),
+            (False, 1, (0, 1), (1, 8), "a split decomposition has m >= 2, got 1"),
+            (False, 2, (0, 0, 1), (1, 5, 2, 3), "y must have 2m = 4 entries"),
+            (False, 2, (0, 0, 2, 0), (1, 5, 2, 3), "y entries must be 0 or 1"),
+            (False, 2, Y, (0, 6, 2, 3), r"every run size \|H_q\| must be >= 1"),
+            (False, 2, Y, (2, 2, 4, 3), r"every gap size \|H'_q\| must be >= 3"),
+        ],
+        ids=[
+            "connected-m", "connected-y", "connected-psi", "split-m",
+            "y-length", "y-entry", "run-size", "gap-size",
+        ],
+    )
+    def test_impossible_structure_refused(self, connected, m, y, psi, message):
+        # every other field is that of decompose(CycleColoring(7, 5, ...)) in
+        # test_two_component_example; the checks must survive python -O
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ProofDecomposition(7, 5, m, connected, 4, 0, y, psi)
 
     def test_invalid_coloring_rejected(self):
         with pytest.raises(ValueError):

@@ -24,11 +24,7 @@ from cyclic_chroma import (
     verify,
 )
 
-SPANS = (ComponentSpan(1, 1, 1, 1, 4), ComponentSpan(2, 4, 4, 1, 4))
-DECOMPOSITION_ARGS = (
-    6, 3, 2, False, 2, 0, SPANS, (0, 1, 1, 0), (1, 4, 1, 4),
-    (False, True, False, True), frozenset({1, 2}), frozenset({1}),
-)
+DECOMPOSITION_ARGS = (6, 3, 2, False, 2, 0, (0, 1, 1, 0), (1, 4, 1, 4))
 FIELDS = {
     CycleColoring: ("n", "t", "colors"),
     ThetaSet: ("n", "members", "provenance"),
@@ -37,8 +33,7 @@ FIELDS = {
     ),
     SearchConfig: ("mode", "limit", "fix_first_color"),
     ProofDecomposition: (
-        "n", "t", "m", "connected", "u_size", "rotation", "components", "y",
-        "psi", "horizontal", "m1", "m2",
+        "n", "t", "m", "connected", "u_size", "rotation", "y", "psi",
     ),
 }
 
@@ -112,7 +107,7 @@ def test_repr():
     )
     assert repr(decompose(construct(7, 7))) == (
         "ProofDecomposition(n=7, t=7, m=1, connected=True, u_size=5, rotation=0, "
-        "components=(), y=(), psi=(), horizontal=(), m1=frozenset(), m2=frozenset())"
+        "y=(), psi=())"
     )
 
 
@@ -161,6 +156,13 @@ def test_positional_and_keyword_construction():
     by_keyword = ProofDecomposition(**keywords)
     assert ProofDecomposition(*DECOMPOSITION_ARGS) == by_keyword
     assert by_keyword.psi_sum == 10
+    # the derived properties, read off psi and y
+    assert by_keyword.components == (
+        ComponentSpan(1, 1, 1, 1, 4), ComponentSpan(2, 4, 4, 1, 4)
+    )
+    assert by_keyword.horizontal == (False, True, False, True)
+    assert by_keyword.m1 == frozenset({2})
+    assert by_keyword.m2 == frozenset({1})
 
 
 def test_construction_normalises_sequences_to_tuples():
@@ -201,6 +203,28 @@ def test_copy_round_trip(cls):
         assert back == value and repr(back) == repr(value)
     with pytest.raises(AttributeError):
         copy.deepcopy(value).extra = 1
+
+
+DERIVED = ("components", "horizontal", "m1", "m2", "psi_sum")
+
+
+@pytest.mark.parametrize("n, t", [(7, 7), (8, 3), (11, 5)])
+def test_decomposition_derived_properties_round_trip(n, t):
+    value = decompose(construct(n, t))
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    backs = [pickle.loads(pickle.dumps(value, p)) for p in protocols]
+    for back in backs + [copy.copy(value), copy.deepcopy(value)]:
+        for name in DERIVED:
+            assert getattr(back, name) == getattr(value, name), name
+        assert back.to_json_dict() == value.to_json_dict()
+
+
+def test_decomposition_derived_properties_cannot_be_set():
+    value = decompose(construct(8, 3))
+    for name in DERIVED:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    assert value.m2 == frozenset({1, 2})
 
 
 def test_unchecked_builds_round_trip():
