@@ -183,7 +183,9 @@ class CycleColoring(_Record):
 
 
 def epsilon(k: int) -> int:
-    """1 if k is even, 0 if k is odd (defined for k >= 1)."""
+    """1 if k is even, 0 if k is odd (defined for integers k >= 1)."""
+    if type(k) is not int:
+        _require_int(k, "'k'")
     if k < 1:
         raise ValueError(f"epsilon is defined for k >= 1, got {_show_int(k)}")
     return 1 + k // 2 - (k + 1) // 2

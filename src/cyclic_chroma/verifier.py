@@ -4,6 +4,19 @@ A vertex of a cycle sees exactly two edge colors.  In interval mode the two
 colors must be consecutive integers; in cyclic mode they may instead be the
 first and last colors, so the palette is consecutive on the color circle.
 ``_steps`` states that rule once; ``verify`` and the search read it there.
+
+A coloring that obeys the rule at every vertex is a closed walk on the
+color graph: the circle C_t, or the path P_t in interval mode or for
+t <= 2.  The steps b - a it takes decide whether it uses all t colors
+(de Werra & Solot, SIAM J. Discrete Math. 4, 1991), so ``verify`` checks
+coverage with no set of the colors:
+
+* no wrap step +-(t-1): the walk stays on the path 1..t and uses an
+  interval of it, every color exactly when it uses 1 and t;
+* wraps in one direction only: its winding number is not 0, so it goes
+  round C_t and uses every color;
+* wraps in both directions, or a vertex that breaks the rule: one set of
+  the colors decides.
 """
 
 from __future__ import annotations
@@ -90,6 +103,10 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
+# the steps of the path P_t: interval mode, and cyclic mode for t <= 2
+_UNIT_STEPS = frozenset((1, -1))
+
+
 def _steps(t: int, mode: str) -> frozenset[int]:
     """Allowed differences b - a between the two colors a, b at a vertex.
 
@@ -98,7 +115,7 @@ def _steps(t: int, mode: str) -> frozenset[int]:
     t >= 3.  Never contains 0, so equal colors fail the rule as well.
     """
     if mode == INTERVAL or t < 3:
-        return frozenset((1, -1))
+        return _UNIT_STEPS
     return frozenset((1, -1, t - 1, 1 - t))
 
 
@@ -107,16 +124,18 @@ def verify(c: CycleColoring, mode: str = CYCLIC) -> VerificationReport:
 
     Violations list every failing vertex in ascending order; surjectivity
     failures surface through ``missing_colors`` rather than per-vertex entries.
-    The vertices are taken in blocks.  A C-level pass tests the differences
-    b - a of a block against the rule, stopping at the first that breaks
-    it, and only a block that fails is read again, vertex by vertex, to
-    name its violations.
+    The vertices are taken in blocks.  One C-level pass per block builds
+    the set of its differences b - a; only a block whose set leaves the
+    rule is read again, vertex by vertex, to name its violations.  The sets
+    of the other blocks, unioned, are the steps that decide coverage as the
+    module docstring says.
     """
     _check_mode(mode)
     n, t, colors = c.n, c.t, c.colors
     violations: list[Violation] = []
     proper = True
     steps = _steps(t, mode)
+    taken: set[int] = set()
     reason = NOT_INTERVAL if mode == INTERVAL else NOT_CYCLIC_INTERVAL
     for lo in range(0, n, _BLOCK):
         hi = lo + _BLOCK
@@ -124,7 +143,9 @@ def verify(c: CycleColoring, mode: str = CYCLIC) -> VerificationReport:
         # ``before`` may hold one color more, which map and zip ignore
         before = colors[lo - 1 : hi - 1] if lo else colors[-1:] + colors[: hi - 1]
         block = colors[lo:hi]
-        if steps.issuperset(map(sub, block, before)):
+        diffs = set(map(sub, block, before))
+        if diffs <= steps:
+            taken |= diffs
             continue
         for v, x, y in zip(count(lo + 1), before, block):
             if x == y:
@@ -132,8 +153,17 @@ def verify(c: CycleColoring, mode: str = CYCLIC) -> VerificationReport:
                 violations.append(_new_tuple(Violation, (v, (x, y), NOT_PROPER)))
             elif y - x not in steps:
                 violations.append(_new_tuple(Violation, (v, (x, y), reason)))
-    seen = set(colors)
-    missing = frozenset() if len(seen) == t else frozenset(range(1, t + 1)) - seen
+    # the wrap steps t - 1 and 1 - t taken, none in interval mode or for
+    # t <= 2: one direction winds round C_t, none stays on the path 1..t
+    wraps = taken - _UNIT_STEPS
+    walk_covers = not violations and (
+        len(wraps) == 1 if wraps else 1 in colors and t in colors
+    )
+    if walk_covers:
+        missing = frozenset()
+    else:
+        seen = set(colors)
+        missing = frozenset() if len(seen) == t else frozenset(range(1, t + 1)) - seen
     return VerificationReport(
         proper=proper,
         surjective=not missing,

@@ -1,4 +1,4 @@
-"""Probes that count the == tests a membership test makes on them."""
+"""Probes that count the == tests or hashes a check makes on them."""
 
 
 class CountingProbe:
@@ -29,3 +29,13 @@ class HashOnlyProbe(CountingProbe):
     """A probe that does not order against int."""
 
     __le__ = __ge__ = object.__le__
+
+
+class HashCountingInt(int):
+    """An int that counts, on its class, the hashes taken of its instances."""
+
+    hashes = 0
+
+    def __hash__(self):
+        HashCountingInt.hashes += 1
+        return int.__hash__(self)

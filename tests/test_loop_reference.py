@@ -67,6 +67,72 @@ def test_every_small_witness():
                 assert_matches_reference(c)
 
 
+def closed_walks(n, t):
+    """Every closed walk of n steps on the cyclic color graph of [1, t].
+
+    Surjective or not.  The graph joins a and b when ``adjacent`` holds in
+    cyclic mode, so it holds the interval graph, and its walks are those of
+    either mode.  t = 1 has no edge and no walk.
+    """
+    colors = range(1, t + 1)
+    succ = {
+        a: [b for b in colors if b != a and loop_reference.adjacent(a, b, t, CYCLIC)]
+        for a in colors
+    }
+    seq = []
+
+    def extend():
+        if len(seq) == n:
+            if seq[0] in succ[seq[-1]]:
+                yield tuple(seq)
+            return
+        for b in succ[seq[-1]]:
+            seq.append(b)
+            yield from extend()
+            seq.pop()
+
+    for first in colors:
+        seq.append(first)
+        yield from extend()
+        seq.pop()
+
+
+def test_every_small_closed_walk():
+    # non-surjective walks reach every coverage branch: no wrap step, wraps
+    # one way (winding number not 0) and wraps both ways (any winding)
+    for n in range(3, 13):
+        for t in range(1, n + 1):
+            for colors in closed_walks(n, t):
+                c = CycleColoring(n, t, colors)
+                for mode in (INTERVAL, CYCLIC):
+                    assert verify(c, mode) == loop_reference.verify(c, mode), (c, mode)
+
+
+# closed walks longer than one block of verify (256 vertices); vertex 1
+# sees the last color and the first, so its step lies in the first block
+LONG_WALKS = {
+    # 1 -> 5 at vertex 302, 5 -> 1 at vertex 1: winding 0, 3 never used
+    "opposite-wraps": (5, (1, 2) * 150 + (1,) + (5, 4) * 150 + (5,), {3}),
+    # 7 -> 1 at vertex 308 and at vertex 1: winding 2
+    "two-forward-wraps": (7, ((1, 2) * 150 + tuple(range(1, 8))) * 2, set()),
+    # 5 -> 1 at vertex 306 of 309, in the last, short block: winding 1
+    "wrap-in-last-block": (5, (1, 2) * 150 + (1, 2, 3, 4, 5) + (1, 2) * 2, set()),
+}
+
+
+@pytest.mark.parametrize(
+    "t, colors, missing", LONG_WALKS.values(), ids=LONG_WALKS.keys()
+)
+def test_long_closed_walks(t, colors, missing):
+    c = CycleColoring(len(colors), t, colors)
+    # the reflection x -> t + 1 - x turns every wrap the other way
+    mirrored = CycleColoring(c.n, t, tuple(t + 1 - x for x in colors))
+    for walk in (c, mirrored, rotate_edges(c, c.n // 2)):
+        for mode in (INTERVAL, CYCLIC):
+            assert verify(walk, mode) == loop_reference.verify(walk, mode), (walk, mode)
+    assert verify(c, CYCLIC).missing_colors == frozenset(missing)
+
+
 def feasible_t(n, k):
     """The k-th feasible color count of C(n), cycling through them."""
     members = [t for t in range(2, n + 1) if contains(n, t)]

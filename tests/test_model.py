@@ -70,6 +70,15 @@ class TestEpsilon:
         with pytest.raises(ValueError):
             epsilon(-3)
 
+    @pytest.mark.parametrize("k", [2.5, True], ids=["float", "bool"])
+    def test_refuses_a_non_int(self, k):
+        with pytest.raises(ValueError) as info:
+            epsilon(k)
+        assert str(info.value) == f"'k' must be an integer, got {k!r}"
+
+    def test_int_subclass(self):
+        assert epsilon(Parity.ODD) == 0
+
     @given(st.integers(1, 10**6))
     def test_parity_closed_form(self, k):
         assert epsilon(k) == 1 - k % 2

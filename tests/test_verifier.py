@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 import loop_reference
 import naive_oracle
+from counting_probe import HashCountingInt
 
 from cyclic_chroma import (
     CYCLIC,
@@ -13,6 +14,7 @@ from cyclic_chroma import (
     NOT_PROPER,
     CycleColoring,
     Violation,
+    construct,
     decompose,
     shift_colors,
     rotate_edges,
@@ -205,6 +207,62 @@ class TestVerify:
     def test_interval_implies_cyclic(self, c):
         if verify(c, INTERVAL).mode_satisfied:
             assert verify(c, CYCLIC).mode_satisfied
+
+
+class TestCoverageFromTheWalk:
+    # a valid coloring is a closed walk on the color graph, and its steps
+    # decide coverage: verify hashes none of its colors
+
+    @staticmethod
+    def counted(c):
+        return CycleColoring(c.n, c.t, tuple(map(HashCountingInt, c.colors)))
+
+    def hashes_of_verify(self, c, mode):
+        HashCountingInt.hashes = 0
+        rep = verify(c, mode)
+        return rep, HashCountingInt.hashes
+
+    @pytest.mark.parametrize(
+        "t, modes",
+        [
+            (2, (INTERVAL, CYCLIC)),  # zigzag on two colors
+            (4, (CYCLIC,)),  # zigzag: one wrap step, winding number 1
+            (10_000, (CYCLIC,)),  # zigzag with no pad: 1, 2, ..., t
+            (5, (INTERVAL, CYCLIC)),  # tent: no wrap step
+            (5_001, (INTERVAL, CYCLIC)),  # the widest tent
+        ],
+    )
+    def test_valid_coloring_hashes_no_color(self, t, modes):
+        c = self.counted(construct(10_000, t))
+        for mode in modes:
+            rep, hashes = self.hashes_of_verify(c, mode)
+            assert rep.mode_satisfied, (t, mode)
+            assert hashes == 0, (t, mode)
+
+    def test_recolored_coloring_misses_the_color_it_lost(self):
+        colors = list(construct(10_000, 10_000).colors)
+        colors[4_999] = 4_999  # edge 5000 held the only 5000
+        c = self.counted(CycleColoring(10_000, 10_000, colors))
+        rep, _ = self.hashes_of_verify(c, CYCLIC)
+        assert rep == loop_reference.verify(c, CYCLIC)
+        assert rep.missing_colors == frozenset({5_000})
+        assert [v.vertex for v in rep.violations] == [5_000, 5_001]
+
+    @pytest.mark.parametrize(
+        "colors, t, missing",
+        [
+            ((1, 2) * 5_000, 3, {3}),  # no wrap step, t never used
+            ((2, 3) * 5_000, 3, {1}),  # no wrap step, 1 never used
+            ((1, 5) * 5_000, 5, {2, 3, 4}),  # wraps both ways, winding 0
+        ],
+    )
+    def test_walk_that_misses_colors(self, colors, t, missing):
+        c = self.counted(CycleColoring(len(colors), t, colors))
+        for mode in (INTERVAL, CYCLIC):
+            rep, _ = self.hashes_of_verify(c, mode)
+            assert rep == loop_reference.verify(c, mode), mode
+            assert rep.missing_colors == frozenset(missing), mode
+            assert not rep.surjective and not rep.mode_satisfied, mode
 
 
 class TestSymmetries:
