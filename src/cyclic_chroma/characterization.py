@@ -19,6 +19,7 @@ from .model import (
     _check_n,
     _int_between,
     _Record,
+    _require_int,
     _show_int,
 )
 
@@ -61,8 +62,9 @@ def _ints_through(k: int) -> tuple[int, ...]:
 class ThetaSet(_Record):
     """A finite set of feasible color counts for one cycle size.
 
-    Building one is O(len(members)): one built by hand has every member
-    checked, while the closed forms check only the ranges they are made of
+    Building one is O(len(members)): one built by hand has n and every
+    member checked (plain ints only, no bool, as in CycleColoring), while
+    the closed forms check only the ranges they are made of
     and slice their members out of one shared tuple of ints, allocating no
     int objects.
     ``in`` is a binary search, O(log n), after a probe that is not an int is
@@ -73,7 +75,13 @@ class ThetaSet(_Record):
     __slots__ = ("n", "members", "provenance")
 
     def __init__(self, n: int, members: tuple[int, ...], provenance: str) -> None:
+        _check_n(n)
         members = tuple(members)
+        # one C-level pass over the member types, as in CycleColoring; the
+        # loop that names the first bad member runs only when one is bad
+        if not {int}.issuperset(map(type, members)):
+            for x in members:
+                _require_int(x, "'members' entry")
         _check_provenance(provenance)
         if any(b <= a for a, b in zip(members, members[1:])):
             raise ValueError("members must be strictly increasing")

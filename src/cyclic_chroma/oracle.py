@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import os
 import re
-from itertools import accumulate, compress, count, islice, repeat
+from itertools import accumulate, compress, count, cycle, islice, repeat
 from operator import add, eq, sub
 from typing import Iterator, NamedTuple
 
@@ -446,14 +446,12 @@ def _decompose_verified(c: CycleColoring) -> ProofDecomposition:
     # empty piece before edge 1, then pieces of |H_1| - 1, |H'_1| - 3,
     # |H_2| - 1, ... edges: those after each change, up to the next one.
     changes = kept ^ kept >> 8
-    psi = list(map(len, changes.to_bytes(n, "big").split(b"\x01")))
-    del psi[0]
-    psi[0::2] = map(add, psi[0::2], repeat(1))
-    psi[1::2] = map(add, psi[1::2], repeat(3))
+    pieces = changes.to_bytes(n, "big").split(b"\x01")
+    psi = tuple(map(add, map(len, islice(pieces, 1, None)), cycle((1, 3))))
     # y holds 1 for each of zeta_1, eta_1, zeta_2, ... that has color t.  Of
     # a change edge and the edge before it, one is interior (top byte 0) and
     # the other is zeta_q or eta_q, so their OR reads y there.  Each change
     # edge gets byte 2 + y and every other edge 0 or 1, which is deleted.
     ends = (changes << 1 | top | top >> 8).to_bytes(n, "big")
     y = tuple(ends.translate(_Y, b"\x00\x01"))
-    return ProofDecomposition(n, t, m, False, u_size, offset, y, tuple(psi))
+    return ProofDecomposition(n, t, m, False, u_size, offset, y, psi)

@@ -16,12 +16,12 @@ coverage with no set of the colors:
 * wraps in one direction only: its winding number is not 0, so it goes
   round C_t and uses every color;
 * wraps in both directions, or a vertex that breaks the rule: one set of
-  the colors decides.
+  the colors decides, and 1..t is tested against it for the missing ones.
 """
 
 from __future__ import annotations
 
-from itertools import count
+from itertools import count, filterfalse
 from operator import sub
 from typing import NamedTuple
 
@@ -46,8 +46,10 @@ NOT_PROPER = "not-proper"
 NOT_INTERVAL = "not-interval"
 NOT_CYCLIC_INTERVAL = "not-cyclic-interval"
 
-# Vertices per block in verify: the unit in which violations are searched.
-_BLOCK = 256
+# Vertices per block in verify, and per sub-block of a block that holds a
+# violation: the unit in which violations are searched.
+_BLOCK = 1024
+_SUB_BLOCK = 256
 # _new_tuple(cls, fields) builds a NamedTuple as ``cls._make(fields)`` does,
 # without a Python-level call per object; building many violations or runs
 # is dominated by that call otherwise.
@@ -124,11 +126,15 @@ def verify(c: CycleColoring, mode: str = CYCLIC) -> VerificationReport:
 
     Violations list every failing vertex in ascending order; surjectivity
     failures surface through ``missing_colors`` rather than per-vertex entries.
-    The vertices are taken in blocks.  One C-level pass per block builds
-    the set of its differences b - a; only a block whose set leaves the
-    rule is read again, vertex by vertex, to name its violations.  The sets
-    of the other blocks, unioned, are the steps that decide coverage as the
-    module docstring says.
+    The vertices are taken in blocks of _BLOCK.  One C-level pass per block
+    builds the set of its differences b - a; the sets of the blocks that
+    keep the rule, unioned, are the steps that decide coverage as the
+    module docstring says.  A block whose set leaves the rule is read again
+    in sub-blocks of _SUB_BLOCK, the same way, and only a sub-block whose
+    set leaves the rule is read vertex by vertex to name its violations.
+    So an invalid coloring reads each failing block twice, at most _BLOCK
+    more differences per block: a large share of its cost when n is small.
+    Missing colors are those of 1..t that one set of the colors lacks.
     """
     _check_mode(mode)
     n, t, colors = c.n, c.t, c.colors
@@ -147,12 +153,17 @@ def verify(c: CycleColoring, mode: str = CYCLIC) -> VerificationReport:
         if diffs <= steps:
             taken |= diffs
             continue
-        for v, x, y in zip(count(lo + 1), before, block):
-            if x == y:
-                proper = False
-                violations.append(_new_tuple(Violation, (v, (x, y), NOT_PROPER)))
-            elif y - x not in steps:
-                violations.append(_new_tuple(Violation, (v, (x, y), reason)))
+        # a violation lies in this block, so the walk's steps decide nothing
+        for at in range(0, len(block), _SUB_BLOCK):
+            xs, ys = before[at : at + _SUB_BLOCK], block[at : at + _SUB_BLOCK]
+            if set(map(sub, ys, xs)) <= steps:
+                continue
+            for v, x, y in zip(count(lo + at + 1), xs, ys):
+                if x == y:
+                    proper = False
+                    violations.append(_new_tuple(Violation, (v, (x, y), NOT_PROPER)))
+                elif y - x not in steps:
+                    violations.append(_new_tuple(Violation, (v, (x, y), reason)))
     # the wrap steps t - 1 and 1 - t taken, none in interval mode or for
     # t <= 2: one direction winds round C_t, none stays on the path 1..t
     wraps = taken - _UNIT_STEPS
@@ -163,7 +174,11 @@ def verify(c: CycleColoring, mode: str = CYCLIC) -> VerificationReport:
         missing = frozenset()
     else:
         seen = set(colors)
-        missing = frozenset() if len(seen) == t else frozenset(range(1, t + 1)) - seen
+        missing = (
+            frozenset()
+            if len(seen) == t
+            else frozenset(filterfalse(seen.__contains__, range(1, t + 1)))
+        )
     return VerificationReport(
         proper=proper,
         surjective=not missing,

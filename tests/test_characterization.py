@@ -275,6 +275,26 @@ class TestThetaSet:
         with pytest.raises(ValueError):
             ThetaSet(6, (2, 3), "guess")
 
+    @pytest.mark.parametrize(
+        "members",
+        [(2.5, 3), ("a",), (2, True), (2.0, 3), (2, numpy.int64(3))],
+        ids=repr,
+    )
+    def test_rejects_a_member_that_is_no_int(self, members):
+        bad = next(x for x in members if type(x) is not int)
+        with pytest.raises(ValueError) as info:
+            ThetaSet(5, members, "search")
+        assert str(info.value) == f"'members' entry must be an integer, got {bad!r}"
+
+    @pytest.mark.parametrize("n", [5.5, 6.0, True, "6", None])
+    def test_rejects_an_n_that_is_no_int(self, n):
+        with pytest.raises(ValueError, match="'n' must be an integer"):
+            ThetaSet(n, (2, 3), "search")
+
+    def test_rejects_an_n_below_three(self):
+        with pytest.raises(ValueError, match="cycle size must be >= 3, got 2"):
+            ThetaSet(2, (2,), "search")
+
     def test_container_protocol(self):
         ts = ThetaSet(6, (2, 3, 4, 6), "formula")
         assert 4 in ts and 5 not in ts

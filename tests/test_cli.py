@@ -10,12 +10,14 @@ from pathlib import Path
 import pytest
 
 from cli_runner import CliRunner
+from recolor import recolor
 
 from cyclic_chroma import MATERIALIZE_CAP, cli, oracle, verifier
 from cyclic_chroma.cli import _require_printable, main
 
 GOLDEN = Path(__file__).parent / "data" / "table8.csv"
 DECOMPOSE_GOLDEN = Path(__file__).parent / "data" / "decompose"
+CHECK_GOLDEN = Path(__file__).parent / "data" / "check"
 PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
 SRC = Path(__file__).parents[1] / "src"
 
@@ -600,6 +602,49 @@ def test_decompose_golden(runner, case, as_json):
     assert result.stderr == ""
     golden = DECOMPOSE_GOLDEN / f"{case}.{'json' if as_json else 'txt'}"
     assert result.stdout.encode("utf-8") == golden.read_bytes()
+
+
+# (n, t, edge, color) of each golden check report: the only edge of color 3
+# in a zigzag's ascent; the edges either side of vertex 4097, the first
+# vertex of a block of 1,024, 2,048 or 4,096 vertices; and the only edge of
+# color t in a tent longer than such a block.  The first and last leave a
+# color missing.
+CHECK_CASES = [
+    (11, 5, 9, 1),
+    (5000, 3, 4096, 1),
+    (5000, 4, 4097, 4),
+    (12000, 2001, 2001, 1),
+]
+
+
+def case_name(n: int, t: int, edge: int, color: int) -> str:
+    return f"make-{n}-{t}-edge{edge}-color{color}"
+
+
+@pytest.mark.parametrize(
+    "case", CHECK_CASES, ids=[case_name(*c) for c in CHECK_CASES]
+)
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_check_golden(runner, case, as_json):
+    # tests/data/check holds the exact bytes of check's report on `make N T`
+    # with one edge recolored; the CI workflow compares the same files with
+    # the output of real processes
+    n, t, edge, color = case
+    made = runner.invoke(main, ["make", str(n), str(t)])
+    assert made.exit_code == 0
+    argv = ["check", "--json"] if as_json else ["check"]
+    result = runner.invoke(main, argv, input=recolor(made.stdout, edge, color))
+    assert result.exit_code == 1
+    assert result.stderr == ""
+    golden = CHECK_GOLDEN / f"{case_name(*case)}.{'json' if as_json else 'txt'}"
+    assert result.stdout.encode("utf-8") == golden.read_bytes()
+
+
+def test_check_goldens_are_the_listed_cases():
+    # the CI step reads its cases from the golden file names
+    names = {p.name for p in CHECK_GOLDEN.iterdir()}
+    listed = {case_name(*c) + ext for c in CHECK_CASES for ext in (".txt", ".json")}
+    assert names == listed
 
 
 @pytest.mark.parametrize("argv", [["theta", "2"], ["make", "2", "2"], ["oracle", "2"]])

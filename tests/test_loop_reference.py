@@ -28,6 +28,7 @@ from cyclic_chroma import (
     verify,
 )
 from cyclic_chroma.oracle import _walks
+from cyclic_chroma.verifier import _BLOCK, _SUB_BLOCK
 
 
 def assert_matches_reference(c):
@@ -108,15 +109,21 @@ def test_every_small_closed_walk():
                     assert verify(c, mode) == loop_reference.verify(c, mode), (c, mode)
 
 
-# closed walks longer than one block of verify (256 vertices); vertex 1
-# sees the last color and the first, so its step lies in the first block
+B, S = _BLOCK, _SUB_BLOCK  # verify reads blocks of B vertices, sub-blocks of S
+K = B // 2 + 22  # (1, 2) * K is 44 edges longer than one block
+
+# closed walks longer than one block of verify; vertex 1 sees the last
+# color and the first, so its step lies in the first block
 LONG_WALKS = {
-    # 1 -> 5 at vertex 302, 5 -> 1 at vertex 1: winding 0, 3 never used
-    "opposite-wraps": (5, (1, 2) * 150 + (1,) + (5, 4) * 150 + (5,), {3}),
-    # 7 -> 1 at vertex 308 and at vertex 1: winding 2
-    "two-forward-wraps": (7, ((1, 2) * 150 + tuple(range(1, 8))) * 2, set()),
-    # 5 -> 1 at vertex 306 of 309, in the last, short block: winding 1
-    "wrap-in-last-block": (5, (1, 2) * 150 + (1, 2, 3, 4, 5) + (1, 2) * 2, set()),
+    # 1 -> 5 at vertex 2K + 2 (second block), 5 -> 1 at vertex 1: winding
+    # 0, 3 never used
+    "opposite-wraps": (5, (1, 2) * K + (1,) + (5, 4) * K + (5,), {3}),
+    # 7 -> 1 at vertex 2K + 8 (second block) and at vertex 1: winding 2
+    "two-forward-wraps": (7, ((1, 2) * K + tuple(range(1, 8))) * 2, set()),
+    # 5 -> 1 at vertex B + 10 of B + 13, in the last, short block: winding 1
+    "wrap-in-last-block": (
+        5, (1, 2) * (B // 2 + 2) + (1, 2, 3, 4, 5) + (1, 2) * 2, set()
+    ),
 }
 
 
@@ -131,6 +138,46 @@ def test_long_closed_walks(t, colors, missing):
         for mode in (INTERVAL, CYCLIC):
             assert verify(walk, mode) == loop_reference.verify(walk, mode), (walk, mode)
     assert verify(c, CYCLIC).missing_colors == frozenset(missing)
+
+
+LONG = 2 * B + S + 7  # two whole blocks and a short third one
+
+
+@pytest.mark.parametrize(
+    "n, vertices",
+    [
+        (LONG, [1]),
+        (LONG, [LONG]),
+        (LONG, [B, B + 1]),  # last of one block, first of the next
+        (LONG, [B]),
+        (LONG, [B + 1]),
+        (LONG, [S]),  # last of a sub-block, first of the next
+        (LONG, [S + 1]),
+        (LONG, [B + S, B + S + 1]),
+        (LONG, [2 * B + 1, 2 * B + S + 1]),  # sub-blocks of the short block
+        (LONG, [5, B + 2 * S + 3]),  # two blocks
+        (LONG, [S - 1, 2 * B + 2]),
+        (B, [1, B]),  # one whole block
+        (B + 1, [B + 1]),  # a last block of one vertex
+        (S + 5, [S]),  # shorter than one block
+        (S + 5, [S + 1, S + 5]),
+        (S - 2, [S - 2]),  # shorter than one sub-block
+    ],
+)
+@pytest.mark.parametrize("t", [3, "long ascent"])
+def test_violations_at_block_edges(n, vertices, t):
+    # edge v takes the color of edge v - 1, so vertex v, which sees both,
+    # is not proper; vertex v + 1 may break the rule as well.  Vertex n goes
+    # first, so edge 1 copies the color edge n ends with
+    t = n - 2 if t == "long ascent" else t
+    colors = list(construct(n, t).colors)
+    for v in sorted(vertices, key=lambda v: v % n):
+        colors[v - 1] = colors[v - 2]
+    c = CycleColoring(n, t, tuple(colors))
+    assert_matches_reference(c)
+    for mode in (INTERVAL, CYCLIC):
+        found = {w.vertex for w in verify(c, mode).violations}
+        assert found.issuperset(vertices), (vertices, mode)
 
 
 def feasible_t(n, k):
@@ -190,9 +237,12 @@ def test_witnesses_with_one_edge_recolored(c):
 def test_large_witnesses(n, t):
     c = rotate_edges(construct(n, t), n // 3 + 1)
     assert_matches_reference(c)
-    colors = list(c.colors)
-    colors[n // 2] = colors[n // 2] % t + 1
-    assert_matches_reference(CycleColoring(n, t, tuple(colors)))
+    # an edge in the middle, and edge 10 * B, seen by the last vertex of
+    # one block and the first of the next
+    for e in (n // 2, 10 * B - 1):
+        colors = list(c.colors)
+        colors[e] = colors[e] % t + 1
+        assert_matches_reference(CycleColoring(n, t, tuple(colors)))
 
 
 def test_walks_match_the_recursive_walk():

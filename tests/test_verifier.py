@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -263,6 +265,27 @@ class TestCoverageFromTheWalk:
             assert rep == loop_reference.verify(c, mode), mode
             assert rep.missing_colors == frozenset(missing), mode
             assert not rep.surjective and not rep.mode_satisfied, mode
+
+    def test_missing_colors_take_one_set_of_the_colors(self):
+        # the colors missing from a long ascent are read off one set of the
+        # colors; a set of all t colors as well would double the peak
+        n, t = 200_000, 199_998
+        colors = list(construct(n, t).colors)
+        colors[n // 2] += 1  # the ascent loses color n // 2 - 1
+        c = CycleColoring(n, t, colors)
+
+        def peak(f):
+            tracemalloc.start()
+            try:
+                result = f()
+                return result, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        _, one_set = peak(lambda: set(c.colors))
+        rep, used = peak(lambda: verify(c, CYCLIC))
+        assert rep.missing_colors == frozenset({n // 2 - 1})
+        assert used <= 1.25 * one_set, (used, one_set)
 
 
 class TestSymmetries:
