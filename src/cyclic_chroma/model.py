@@ -23,8 +23,7 @@ generator.
 from __future__ import annotations
 
 import operator
-from collections.abc import Set
-from math import log10, trunc
+from math import log10
 
 __all__ = [
     "CycleColoring",
@@ -191,101 +190,9 @@ def epsilon(k: int) -> int:
     return 1 + k // 2 - (k + 1) // 2
 
 
-def _int_between(x: object, lo: int, hi: int) -> int | None:
-    """The int in [lo, hi] that x equals, or None when there is none.
-
-    O(1) for every x: only the bounds and one int are compared with it, so
-    '3', None and Decimal('NaN') are answered without a scan, while 2.0,
-    Fraction(4), 4+0j, True, numpy.int64(4), numpy.True_ and
-    numpy.float32(4) stand for the int they equal.
-    """
-    if isinstance(x, complex):
-        if x.imag:
-            return None
-        x = x.real
-    try:
-        if hasattr(x, "__index__"):
-            x = operator.index(x)  # numpy.int64 defines no __trunc__
-        if not lo <= x <= hi:
-            return None
-        # numpy.bool_ and numpy.float32 define neither __index__ nor
-        # __trunc__; int() maps them, and the == below keeps int('3') out
-        i = trunc(x) if hasattr(x, "__trunc__") else int(x)
-    except (TypeError, ValueError, ArithmeticError):
-        # x does not order against int (a str, None, a Decimal NaN)
-        return None
-    return i if type(i) is int and i == x else None
-
-
-def _set_operator(op):
-    """A set operator for RangeSet: it works on a set of the members."""
-
-    def forward(self, other):
-        return op(set(self._range), other)
-
-    def reflected(self, other):
-        if not isinstance(other, (set, frozenset)):
-            return NotImplemented
-        return op(set(other), set(self._range))
-
-    return forward, reflected
-
-
-class RangeSet(Set):
-    """A read-only set of the members of one ascending ``range``.
-
-    ``in``, ``len`` and ``bool`` are O(1) and iteration is ascending.  ``==``
-    against a set or frozenset is one length test and one C-level pass over
-    the range; ``| & - ^`` return a plain ``set``.  Unhashable, like ``set``.
-    """
-
-    __slots__ = ("_range",)
-
-    def __init__(self, members: range) -> None:
-        if members.step <= 0:
-            raise ValueError("a RangeSet needs an ascending range")
-        self._range = members
-
-    def __contains__(self, x: object) -> bool:
-        r = self._range
-        if type(x) is not int:
-            hash(x)  # an unhashable probe raises TypeError, as for a set
-            x = _int_between(x, r.start, r.stop - 1)
-            if x is None:
-                return False
-        return x in r
-
-    def __iter__(self):
-        return iter(self._range)
-
-    def __len__(self) -> int:
-        return len(self._range)
-
-    def __bool__(self) -> bool:
-        return bool(self._range)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, RangeSet):
-            return self._range == other._range
-        if isinstance(other, (set, frozenset)):
-            r = self._range  # len(r) overflows past sys.maxsize; size does not
-            size = max(0, -((r.start - r.stop) // r.step))
-            return len(other) == size and other.issuperset(r)
-        return super().__eq__(other)
-
-    __hash__ = None
-
-    __or__, __ror__ = _set_operator(operator.or_)
-    __and__, __rand__ = _set_operator(operator.and_)
-    __sub__, __rsub__ = _set_operator(operator.sub)
-    __xor__, __rxor__ = _set_operator(operator.xor)
-
-    def __repr__(self) -> str:
-        return f"RangeSet({self._range!r})"
-
-
 def rotate_edges(c: CycleColoring, offset: int) -> CycleColoring:
-    """Relabel edges so that the new edge 1 is the old edge offset+1."""
+    """Relabel edges so that the new edge 1 is the old edge offset+1, an int."""
+    _require_int(offset, "'offset'")
     if not 0 <= offset < c.n:
         raise ValueError(
             f"rotation offset must lie in [0, {c.n - 1}], got {_show_int(offset)}"

@@ -381,7 +381,6 @@ class ProofDecomposition(_Record):
         return sum(self.psi)
 
     def to_json_dict(self) -> dict:
-        psi_sum = self.psi_sum
         return {
             "case": "A" if self.connected else "B",
             "n": self.n,
@@ -399,8 +398,9 @@ class ProofDecomposition(_Record):
             "horizontal": list(self.horizontal),
             "m1": sorted(self.m1),
             "m2": sorted(self.m2),
-            "psi_sum": psi_sum,
-            "psi_identity_ok": self.connected or psi_sum == self.n + 2 * self.m,
+            "psi_sum": self.psi_sum,
+            # __init__ refuses a split psi whose sum is not n + 2m
+            "psi_identity_ok": True,
         }
 
 

@@ -182,7 +182,7 @@ def verify(c: CycleColoring, mode: str = CYCLIC) -> VerificationReport:
     return VerificationReport(
         proper=proper,
         surjective=not missing,
-        mode_satisfied=proper and not missing and not violations,
+        mode_satisfied=not missing and not violations,
         violations=tuple(violations),
         missing_colors=missing,
     )

@@ -326,20 +326,6 @@ class TestThetaSet:
             probe in th
             assert probe.eq_calls <= 2
 
-    def test_ranges_checked_like_members(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            ThetaSet._of_ranges(6, "formula", range(2, 5), range(4, 7))
-        with pytest.raises(ValueError, match="strictly increasing"):
-            ThetaSet._of_ranges(6, "formula", range(6, 1, -2))
-        with pytest.raises(ValueError, match=r"lie in \[2, 6\]"):
-            ThetaSet._of_ranges(6, "formula", range(1, 4))
-        with pytest.raises(ValueError, match=r"lie in \[2, 6\]"):
-            ThetaSet._of_ranges(6, "formula", range(2, 4), range(6, 9, 2))
-        with pytest.raises(ValueError, match="unknown provenance"):
-            ThetaSet._of_ranges(6, "guess", range(2, 4))
-        built = ThetaSet._of_ranges(8, "formula", range(2, 6), range(5, 5), range(6, 9, 2))
-        assert built == ThetaSet(8, (2, 3, 4, 5, 6, 8), "formula")
-
     @staticmethod
     def _by_hand(theta, n):
         # the theorem as stated: t of n's parity from chi'(n) to n, and for

@@ -30,7 +30,8 @@ from cyclic_chroma import (
     tent,
     zigzag_staircase,
 )
-from cyclic_chroma.model import RangeSet, _show_int
+from cyclic_chroma.characterization import RangeSet
+from cyclic_chroma.model import _show_int
 
 
 class Parity(IntEnum):
@@ -155,8 +156,15 @@ class TestRangeSet:
         assert rs != set() and set() != rs
         assert rs != {4, 5} and frozenset({n - 1}) != rs
         assert rs == RangeSet(rs._range)
+        assert rs != {}.keys() and {}.keys() != rs
         with pytest.raises(OverflowError):
             len(rs)
+
+    def test_equal_to_any_set_with_the_same_members(self):
+        rs = forbidden_set(10)
+        assert rs == {7: 0, 9: 0}.keys() and {7: 0, 9: 0}.keys() == rs
+        assert rs != {7: 0}.keys() and {7: 0, 8: 0}.keys() != rs
+        assert rs != [7, 9] and rs != (7, 9)
 
     def test_rejects_a_descending_range(self):
         with pytest.raises(ValueError):
@@ -336,6 +344,11 @@ class TestRotateEdges:
             rotate_edges(c, -1)
         with pytest.raises(ValueError):
             rotate_edges(c, 3)
+
+    @pytest.mark.parametrize("offset", [True, 1.5, 2.0, numpy.int64(2)])
+    def test_offset_must_be_an_int(self, offset):
+        with pytest.raises(ValueError, match="'offset' must be an integer"):
+            rotate_edges(coloring([1, 2, 3]), offset)
 
     @given(colorings_st, st.integers(0, 9))
     def test_inverse(self, c, k):

@@ -20,37 +20,51 @@ def test_no_assert_statements():
 
 
 TRUSTED_CALLERS = {
-    ("constructor.py", "zigzag_staircase"),
-    ("constructor.py", "tent"),
+    ("characterization.py", "zigzag_staircase"),
+    ("characterization.py", "tent"),
     ("model.py", "rotate_edges"),
     ("model.py", "shift_colors"),
     ("oracle.py", "enumerate_colorings"),
 }
 
 
-def _trusted_references(node, where, out):
+def _references(node, name, where, out):
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         where = node.name
-    if isinstance(node, ast.Attribute) and node.attr == "_trusted":
+    if isinstance(node, ast.Attribute) and node.attr == name:
         out.add(where)
-    if isinstance(node, ast.Name) and node.id == "_trusted":
+    if isinstance(node, ast.Name) and node.id == name:
         out.add(where)
     for child in ast.iter_child_nodes(node):
-        _trusted_references(child, where, out)
+        _references(child, name, where, out)
+
+
+def _callers(name):
+    """(file, enclosing function) of every reference to name in the package."""
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        callers = set()
+        _references(ast.parse(path.read_text(), str(path)), name, "<module>", callers)
+        found |= {(str(path.relative_to(SRC)), where) for where in callers}
+    return found
 
 
 def test_unchecked_colorings_come_from_the_known_builders():
     # CycleColoring._trusted skips every check, so only builders whose
     # output is in range by construction may call it
-    found = set()
-    for path in sorted(SRC.rglob("*.py")):
-        callers = set()
-        _trusted_references(ast.parse(path.read_text(), str(path)), "<module>", callers)
-        found |= {(str(path.relative_to(SRC)), name) for name in callers}
-    assert found == TRUSTED_CALLERS
+    assert _callers("_trusted") == TRUSTED_CALLERS
 
 
-LIBRARY_MODULES = ("model", "characterization", "constructor", "verifier", "oracle")
+def test_unchecked_feasible_sets_come_from_the_closed_forms():
+    # ThetaSet._of_ranges checks none of its ranges, so only the closed
+    # forms, whose ranges _split makes right, may call it
+    assert _callers("_of_ranges") == {
+        ("characterization.py", "theta_cyclic"),
+        ("characterization.py", "theta_interval"),
+    }
+
+
+LIBRARY_MODULES = ("model", "characterization", "verifier", "oracle")
 
 
 def _top_level_definitions(path):

@@ -1,4 +1,5 @@
-"""Every coloring built on the unchecked path passes the public check unchanged."""
+"""Every coloring and feasible set built on an unchecked path passes the
+public check unchanged."""
 
 import pytest
 from hypothesis import given
@@ -9,11 +10,14 @@ from cyclic_chroma import (
     INTERVAL,
     CycleColoring,
     SearchConfig,
+    ThetaSet,
     construct,
     contains,
     enumerate_colorings,
     rotate_edges,
     shift_colors,
+    theta_cyclic,
+    theta_interval,
 )
 
 
@@ -81,3 +85,22 @@ def test_enumerate_colorings_output_passes_the_public_check(config):
                 assert_passes_public_check(c)
                 found += 1
     assert found > 0
+
+
+def assert_set_passes_public_check(theta):
+    assert type(theta.members) is tuple
+    assert all(type(x) is int for x in theta.members)
+    checked = ThetaSet(theta.n, theta.members, "formula")
+    assert checked == theta and theta == checked
+    assert checked.members == theta.members and theta.provenance == "formula"
+
+
+@pytest.mark.parametrize("theta", [theta_cyclic, theta_interval])
+def test_closed_form_sets_pass_the_public_check(theta):
+    for n in [*range(3, 2001), 10**6 - 1, 10**6]:
+        assert_set_passes_public_check(theta(n))
+
+
+def test_of_ranges_joins_its_ranges_and_skips_empty_ones():
+    built = ThetaSet._of_ranges(8, range(2, 6), range(5, 5), range(6, 9, 2))
+    assert built == ThetaSet(8, (2, 3, 4, 5, 6, 8), "formula")
