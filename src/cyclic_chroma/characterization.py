@@ -23,6 +23,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left
 from collections.abc import Set
+from itertools import chain
 from math import trunc
 
 from .model import CycleColoring, _assign, _check_n, _Record, _require_int, _show_int
@@ -52,26 +53,9 @@ REASON_RANGE = "range"
 REASON_FORBIDDEN = "forbidden"
 REASON_PATTERN = "pattern"
 
-# Feasible sets and witnesses are materialized only up to this cycle size;
-# use contains() for membership queries beyond it.
+# The largest n whose feasible sets and witnesses are built, and the most
+# members a RangeSet operator copies; beyond it, use contains() or ``in``.
 MATERIALIZE_CAP = 10**6
-
-# The ints 0, 1, ..., k-1, grown on demand and then kept; the capped closed
-# forms never grow it past MATERIALIZE_CAP + 1 ints (about 36 MiB on 64-bit
-# CPython).  A closed-form set slices its members out of this tuple, sharing
-# the int objects instead of allocating new ones.  Replaced whole, never
-# mutated, so a racing reader still gets a valid tuple.
-_INTS: tuple[int, ...] = ()
-
-
-def _ints_through(k: int) -> tuple[int, ...]:
-    """A tuple whose item i is the int i, for every i in [0, k]."""
-    global _INTS
-    ints = _INTS
-    if len(ints) <= k:
-        ints = tuple(range(max(k + 1, min(2 * len(ints), MATERIALIZE_CAP + 1))))
-        _INTS = ints
-    return ints
 
 
 def _int_between(x: object, lo: int, hi: int) -> int | None:
@@ -103,16 +87,16 @@ def _int_between(x: object, lo: int, hi: int) -> int | None:
 class ThetaSet(_Record):
     """A finite set of feasible color counts for one cycle size.
 
-    Building one is O(len(members)): one built by hand has n and every
-    member checked (plain ints only, no bool, as in CycleColoring), while
-    the closed forms check nothing and slice their members out of one
-    shared tuple of ints, allocating no int objects.
-    ``in`` is a binary search, O(log n), after a probe that is not an int is
-    mapped to the int it equals in O(1); iteration and ``len`` are those of
-    the ``members`` tuple.
+    A closed form builds one in O(1) from its ranges, unchecked; ``members``
+    is built on its first read and then kept.  One built by hand checks n
+    and every member (plain ints, no bool, as in CycleColoring) and keeps
+    the checked tuple as its one part and its ``members``.  ``len``, ``bool``
+    and iteration work from the parts; ``in`` maps a non-int probe to the
+    int it equals in O(1), then takes O(1) per range or bisects the tuple.
     """
 
-    __slots__ = ("n", "members", "provenance")
+    __slots__ = ("n", "_parts", "provenance", "_members")
+    _names = ("n", "members", "provenance")
 
     def __init__(self, n: int, members: tuple[int, ...], provenance: str) -> None:
         _check_n(n)
@@ -128,66 +112,96 @@ class ThetaSet(_Record):
             raise ValueError("members must be strictly increasing")
         if members and not (2 <= members[0] and members[-1] <= n):
             raise ValueError(f"members must lie in [2, {_show_int(n)}]")
+        self._build(n, (members,), provenance, members)
+
+    def _build(self, n: int, parts: tuple, provenance: str, members) -> ThetaSet:
         _assign(self, "n", n)
-        _assign(self, "members", members)
+        _assign(self, "_parts", parts)
         _assign(self, "provenance", provenance)
+        _assign(self, "_members", members)
+        return self
 
     @classmethod
     def _of_ranges(cls, n: int, *parts: range) -> ThetaSet:
-        """The closed-form set that is the union of ascending ranges.
+        """The closed-form set that is the union of ascending ranges; checks
+        nothing, since its callers pass ranges in [2, n] as _split makes them."""
+        return object.__new__(cls)._build(n, parts, PROVENANCE_FORMULA, None)
 
-        Checks nothing: its callers pass ranges in [2, n], each above the
-        one before it, as _split makes them.  The only O(len) work is
-        copying the members' slices of the shared ints, which takes no new
-        int object.
-        """
-        ints = _ints_through(max((r[-1] for r in parts if r), default=0))
-        members: tuple[int, ...] = ()
-        for r in parts:
-            members += ints[r.start : r.stop : r.step]
-        self = object.__new__(cls)
-        _assign(self, "n", n)
-        _assign(self, "members", members)
-        _assign(self, "provenance", PROVENANCE_FORMULA)
-        return self
+    @property
+    def members(self) -> tuple[int, ...]:
+        if self._members is None:
+            _assign(self, "_members", tuple(chain.from_iterable(self._parts)))
+        return self._members
 
     def __contains__(self, t: object) -> bool:
-        members = self.members
         if type(t) is not int:
-            t = _int_between(t, members[0], members[-1]) if members else None
+            t = _int_between(t, 2, self.n)
             if t is None:
                 return False
-        i = bisect_left(members, t)
-        return i < len(members) and members[i] == t
+        first = self._parts[0]
+        if type(first) is tuple:  # a hand-built set's one tuple
+            i = bisect_left(first, t)
+            return i < len(first) and first[i] == t
+        return any(t in r for r in self._parts)
 
     def __iter__(self):
-        return iter(self.members)
+        return chain.from_iterable(self._parts)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return sum(map(len, self._parts))
+
+
+def _size(s: Set) -> int:
+    """len(s), but a RangeSet's from its bounds: len() of a range overflows."""
+    if isinstance(s, RangeSet):
+        r = s._range
+        return max(0, -((r.start - r.stop) // r.step))
+    return len(s)
 
 
 def _set_operator(op):
     """A set operator for RangeSet: it works on a set of the members."""
 
     def forward(self, other):
-        return op(set(self._range), other)
+        return op(self._materialize(), other)
 
     def reflected(self, other):
         if not isinstance(other, (set, frozenset)):
             return NotImplemented
-        return op(set(other), set(self._range))
+        return op(set(other), self._materialize())
 
     return forward, reflected
+
+
+def _within(small: Set, large: Set) -> bool:
+    """small <= large: one pass over small, or O(1) for two RangeSets."""
+    if isinstance(small, RangeSet) and isinstance(large, RangeSet):
+        # a range's first two members fix its step and residue, its last its end
+        r = small._range
+        return all(map(large.__contains__, (*r[:2], *r[-1:])))
+    return all(map(large.__contains__, small))
+
+
+def _order(op, subset):
+    """RangeSet's == <= < (subset) or >= > (superset): sizes, then _within."""
+
+    def compare(self, other):
+        if not isinstance(other, Set):
+            return NotImplemented
+        small, large = (self, other) if subset else (other, self)
+        return op(_size(self), _size(other)) and _within(small, large)
+
+    return compare
 
 
 class RangeSet(Set):
     """A read-only set of the members of one ascending ``range``.
 
     ``in``, ``len`` and ``bool`` are O(1) and iteration is ascending.  ``==``
-    against another Set is one size test and one C-level membership pass
-    over the range, for any size; ``| & - ^`` return a plain ``set``.
-    Unhashable, like ``set``.
+    and ``<= < >= >`` against another Set, at any size, are one size test
+    and one C-level membership pass over the smaller side, or O(1) against
+    a RangeSet.  ``| & - ^`` return a plain ``set``, and refuse a range of
+    more than MATERIALIZE_CAP members with ValueError.  Unhashable.
     """
 
     __slots__ = ("_range",)
@@ -215,14 +229,9 @@ class RangeSet(Set):
     def __bool__(self) -> bool:
         return bool(self._range)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, RangeSet):
-            return self._range == other._range
-        if not isinstance(other, Set):
-            return NotImplemented
-        r = self._range  # len(r) overflows past sys.maxsize; size does not
-        size = max(0, -((r.start - r.stop) // r.step))
-        return len(other) == size and all(map(other.__contains__, r))
+    __eq__ = _order(operator.eq, True)
+    __le__, __lt__ = _order(operator.le, True), _order(operator.lt, True)
+    __ge__, __gt__ = _order(operator.ge, False), _order(operator.gt, False)
 
     __hash__ = None
 
@@ -230,6 +239,13 @@ class RangeSet(Set):
     __and__, __rand__ = _set_operator(operator.and_)
     __sub__, __rsub__ = _set_operator(operator.sub)
     __xor__, __rxor__ = _set_operator(operator.xor)
+
+    def _materialize(self) -> set:
+        size = _size(self)
+        if size > MATERIALIZE_CAP:
+            shown = f"a set of {_show_int(size)} members"
+            raise ValueError(f"refusing to materialize {shown} (cap {MATERIALIZE_CAP})")
+        return set(self._range)
 
     def __repr__(self) -> str:
         return f"RangeSet({self._range!r})"

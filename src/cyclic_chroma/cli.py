@@ -39,10 +39,7 @@ from .verifier import CYCLIC, MODES, verify
 
 
 def _int_digit_limit() -> int:
-    """The most digits int() and str() convert; 0 for no limit.
-
-    The limit exists from Python 3.10.7 on.
-    """
+    """The most digits int() and str() convert; 0 for no limit (before 3.10.7)."""
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
@@ -152,22 +149,17 @@ def _echo_violations(report) -> None:
 def theta(n: int, mode: str, as_json: bool) -> int:
     """Print every feasible color count for the N-edge cycle."""
     ts = theta_cyclic(n) if mode == CYCLIC else theta_interval(n)
+    members = ts.members
     if as_json:
-        obj: dict = {
-            "n": n,
-            "mode": mode,
-            "members": list(ts.members),
-            "provenance": ts.provenance,
-        }
-        if ts.members:
-            obj["w"] = ts.members[0]
-            obj["W"] = ts.members[-1]
+        obj = dict(n=n, mode=mode, members=list(members), provenance=ts.provenance)
+        if members:
+            obj.update(w=members[0], W=members[-1])
         print(_dumps(obj))
         return 0
     label, tag = ("Θ", "cyc") if mode == CYCLIC else ("θ", "int")
-    line = f"{label}(C({n})) = {_braced(ts.members)}"
-    if ts.members:
-        line += f"  w_{tag}={ts.members[0]} W_{tag}={ts.members[-1]}"
+    line = f"{label}(C({n})) = {_braced(members)}"
+    if members:
+        line += f"  w_{tag}={members[0]} W_{tag}={members[-1]}"
     print(line)
     return 0
 
@@ -178,17 +170,8 @@ def make(n: int, t: int, as_json: bool) -> int:
         coloring = construct(n, t)
     except Infeasible as exc:
         if as_json:
-            print(
-                _dumps(
-                    {
-                        "n": n,
-                        "t": t,
-                        "feasible": False,
-                        "reason": exc.reason,
-                        "message": exc.message,
-                    }
-                )
-            )
+            d = dict(n=n, t=t, feasible=False, reason=exc.reason, message=exc.message)
+            print(_dumps(d))
         else:
             print(f"infeasible: {exc.message}")
         return 1

@@ -84,20 +84,21 @@ def _check_t(n: int, t: int) -> None:
 class _Record:
     """Base of the frozen record classes; the fields are the ``__slots__``.
 
-    A subclass lists its fields in order in ``__slots__`` and sets each in
-    its own explicit ``__init__`` with ``_assign``.  Setting or deleting a
-    field raises AttributeError.  ``==`` holds between two records of the
-    same class whose fields are equal, ``hash`` is that of the tuple of
-    fields, and ``repr`` names every field.  Pickling and copying rebuild a
-    record through its ``__init__``, from its fields in order.
+    A subclass lists its fields in order in ``__slots__``, or in ``_names`` when
+    one is no slot, and sets each in its own ``__init__`` with ``_assign``.
+    Setting or deleting a field raises AttributeError.  ``==`` holds between
+    two records of the same class whose fields are equal, ``hash`` is that of
+    the tuple of fields, and ``repr`` names every field.  Pickling and copying
+    rebuild a record through its ``__init__``, from its fields in order.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
+        cls._names = getattr(cls, "_names", cls.__slots__)
         # one C-level call that reads every field into a tuple
-        cls._fields = operator.attrgetter(*cls.__slots__)
+        cls._fields = operator.attrgetter(*cls._names)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -114,7 +115,7 @@ class _Record:
         return hash(self._fields(self))
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names)
         return f"{type(self).__qualname__}({shown})"
 
     def __reduce__(self):

@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from itertools import islice
 
 import numpy
 import pytest
@@ -353,17 +354,35 @@ class TestThetaSet:
                 assert (x in formula) == (x in by_hand), (n, x)
 
     @pytest.mark.parametrize("theta", [theta_cyclic, theta_interval])
-    def test_formula_sets_allocate_no_ints(self, theta):
-        theta(MATERIALIZE_CAP)  # warm up: grows the shared ints to the cap
+    def test_closed_forms_answer_without_building_members(self, theta):
+        n = MATERIALIZE_CAP
         tracemalloc.start()
         try:
-            members = theta(MATERIALIZE_CAP).members
+            ts = theta(n)
+            answers = (n // 2 in ts, 1 in ts, 4.0 in ts, len(ts), bool(ts))
+            first = list(islice(ts, 3))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the tuple's pointers and, for two ranges, their two slices: 16
-        # bytes a member; a new int object alone takes 28
-        assert peak <= 16 * len(members) + 4096
+        # a tuple of the members alone would take 8 bytes a member
+        assert peak < 4096
+        assert answers == (True, False, True, len(ts.members), True)
+        assert first == [2, 3, 4]
+
+    @pytest.mark.parametrize("theta", [theta_cyclic, theta_interval])
+    def test_members_is_built_once(self, theta):
+        for n in (6, 7, MATERIALIZE_CAP):
+            ts = theta(n)
+            assert ts.members is ts.members, n
+
+    def test_hand_built_members_is_the_checked_tuple(self):
+        members = (2, 3, 4, 6)
+        ts = ThetaSet(6, members, "search")
+        assert ts.members is members
+        assert ThetaSet(6, [2, 3], "search").members == (2, 3)
+        empty = ThetaSet(5, (), "search")
+        assert empty.members == () and not empty and len(empty) == 0
+        assert list(empty) == [] and 3 not in empty and 3.0 not in empty
 
     def test_formula_sets_at_the_cap(self):
         for n in (MATERIALIZE_CAP - 2, MATERIALIZE_CAP - 1, MATERIALIZE_CAP):

@@ -1,4 +1,5 @@
 import json
+import operator
 import re
 import sys
 from decimal import Decimal
@@ -115,15 +116,21 @@ class TestRangeSet:
     @pytest.mark.parametrize("r", CASES)
     def test_operators_in_both_orders_return_sets(self, r):
         rs, plain = RangeSet(r), set(r)
-        for other in ({4, 5, 6, 100}, frozenset({7, 8}), set(), plain):
-            for op, name in [
-                (lambda a, b: a | b, "|"),
-                (lambda a, b: a & b, "&"),
-                (lambda a, b: a - b, "-"),
-                (lambda a, b: a ^ b, "^"),
+        others = [{4, 5, 6, 100}, frozenset({7, 8}), set(), plain]
+        others += [RangeSet(range(1, 12, 3)), RangeSet(range(-3, 12, 2)), RangeSet(r)]
+        for other in others:
+            for op, name, kind in [
+                (lambda a, b: a | b, "|", set),
+                (lambda a, b: a & b, "&", set),
+                (lambda a, b: a - b, "-", set),
+                (lambda a, b: a ^ b, "^", set),
+                (lambda a, b: a <= b, "<=", bool),
+                (lambda a, b: a < b, "<", bool),
+                (lambda a, b: a >= b, ">=", bool),
+                (lambda a, b: a > b, ">", bool),
             ]:
                 forward, reflected = op(rs, other), op(other, rs)
-                assert type(forward) is set and type(reflected) is set, name
+                assert type(forward) is kind and type(reflected) is kind, name
                 assert forward == op(plain, set(other)), name
                 assert reflected == op(set(other), plain), name
         assert type(rs | RangeSet(range(1, 3))) is set
@@ -159,6 +166,33 @@ class TestRangeSet:
         assert rs != {}.keys() and {}.keys() != rs
         with pytest.raises(OverflowError):
             len(rs)
+
+    @pytest.mark.parametrize("n", [10**20, 10**20 + 1])
+    def test_order_comparisons_past_sys_maxsize(self, n):
+        rs = forbidden_set(n)
+        assert not rs <= {1} and not {1} >= rs
+        assert rs >= set() and set() <= rs
+        assert not rs < {1} and not {1} > rs
+        assert rs > set() and set() < rs
+        assert rs >= {n - 1} and not rs >= {n - 1, n}
+        # two RangeSets compare in O(1), whatever their sizes
+        wider = RangeSet(range(rs._range.start, 2 * n, rs._range.step))
+        assert rs <= wider and rs < wider and wider >= rs and wider > rs
+        assert not wider <= rs and rs != wider and rs == forbidden_set(n)
+        shifted = RangeSet(range(rs._range.start + 1, n, rs._range.step))
+        assert not rs <= shifted and not shifted <= rs
+
+    def test_operators_refuse_a_range_past_the_cap(self):
+        rs = forbidden_set(10**9)
+        message = "refusing to materialize a set of 249999999 members"
+        for op in (operator.or_, operator.and_, operator.sub, operator.xor):
+            with pytest.raises(ValueError, match=message):
+                op(rs, {1})
+            with pytest.raises(ValueError, match=message):
+                op({1}, rs)
+        below = forbidden_set(2 * 10**6)
+        assert below | {1} == {1, *range(10**6 + 3, 2 * 10**6, 2)}
+        assert {1} | below == below | {1}
 
     def test_equal_to_any_set_with_the_same_members(self):
         rs = forbidden_set(10)
