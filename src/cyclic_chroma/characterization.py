@@ -26,7 +26,8 @@ from collections.abc import Set
 from itertools import chain
 from math import trunc
 
-from .model import CycleColoring, _assign, _check_n, _Record, _require_int, _show_int
+from .model import CycleColoring, _assign, _check_n, _Record, _require_int
+from .model import _require_ints, _show_int
 
 __all__ = [
     "MATERIALIZE_CAP",
@@ -58,8 +59,8 @@ REASON_PATTERN = "pattern"
 MATERIALIZE_CAP = 10**6
 
 
-def _int_between(x: object, lo: int, hi: int) -> int | None:
-    """The int in [lo, hi] that x equals, or None when there is none.
+def _int_between(x: object, lo: int, hi: int) -> int:
+    """The int in [lo, hi] that x equals, else lo - 1, which no set in [lo, hi] holds.
 
     O(1) for every x: only the bounds and one int are compared with it, so
     '3', None and Decimal('NaN') are answered without a scan, while 2.0,
@@ -68,20 +69,20 @@ def _int_between(x: object, lo: int, hi: int) -> int | None:
     """
     if isinstance(x, complex):
         if x.imag:
-            return None
+            return lo - 1
         x = x.real
     try:
         if hasattr(x, "__index__"):
             x = operator.index(x)  # numpy.int64 defines no __trunc__
         if not lo <= x <= hi:
-            return None
+            return lo - 1
         # numpy.bool_ and numpy.float32 define neither __index__ nor
         # __trunc__; int() maps them, and the == below keeps int('3') out
         i = trunc(x) if hasattr(x, "__trunc__") else int(x)
     except (TypeError, ValueError, ArithmeticError):
         # x does not order against int (a str, None, a Decimal NaN)
-        return None
-    return i if type(i) is int and i == x else None
+        return lo - 1
+    return i if type(i) is int and i == x else lo - 1
 
 
 class ThetaSet(_Record):
@@ -93,6 +94,7 @@ class ThetaSet(_Record):
     the checked tuple as its one part and its ``members``.  ``len``, ``bool``
     and iteration work from the parts; ``in`` maps a non-int probe to the
     int it equals in O(1), then takes O(1) per range or bisects the tuple.
+    ``==`` between two closed forms compares n and the ranges in O(1).
     """
 
     __slots__ = ("n", "_parts", "provenance", "_members")
@@ -101,11 +103,7 @@ class ThetaSet(_Record):
     def __init__(self, n: int, members: tuple[int, ...], provenance: str) -> None:
         _check_n(n)
         members = tuple(members)
-        # one C-level pass over the member types, as in CycleColoring; the
-        # loop that names the first bad member runs only when one is bad
-        if not {int}.issuperset(map(type, members)):
-            for x in members:
-                _require_int(x, "'members' entry")
+        _require_ints(members, "'members' entry")
         if provenance not in (PROVENANCE_FORMULA, PROVENANCE_SEARCH):
             raise ValueError(f"unknown provenance {provenance!r}")
         if any(b <= a for a, b in zip(members, members[1:])):
@@ -136,13 +134,26 @@ class ThetaSet(_Record):
     def __contains__(self, t: object) -> bool:
         if type(t) is not int:
             t = _int_between(t, 2, self.n)
-            if t is None:
-                return False
         first = self._parts[0]
         if type(first) is tuple:  # a hand-built set's one tuple
             i = bisect_left(first, t)
             return i < len(first) and first[i] == t
         return any(t in r for r in self._parts)
+
+    def __eq__(self, other: object) -> bool:
+        # two closed forms compare n and their ranges, building no members:
+        # for one n, theta_cyclic has two ranges and theta_interval one, and
+        # only the cyclic set holds n, so unequal ranges mean unequal members
+        if (
+            other.__class__ is self.__class__
+            and type(self._parts[0]) is range
+            and type(other._parts[0]) is range
+        ):
+            return self.n == other.n and self._parts == other._parts
+        return _Record.__eq__(self, other)
+
+    # a closed form hashes as the hand-built set of its members does
+    __hash__ = _Record.__hash__
 
     def __iter__(self):
         return chain.from_iterable(self._parts)
@@ -216,8 +227,6 @@ class RangeSet(Set):
         if type(x) is not int:
             hash(x)  # an unhashable probe raises TypeError, as for a set
             x = _int_between(x, r.start, r.stop - 1)
-            if x is None:
-                return False
         return x in r
 
     def __iter__(self):
@@ -321,8 +330,6 @@ def contains(n: int, t: int) -> bool:
     chi, s = _split(n)
     if type(t) is not int:
         t = _int_between(t, chi, n)
-        if t is None:
-            return False
     if (n - t) % 2:
         return chi <= t < s
     return chi <= t <= n

@@ -44,6 +44,14 @@ def _require_int(value: object, label: str) -> None:
         raise ValueError(f"{label} must be an integer, got {value!r}")
 
 
+def _require_ints(values: tuple, label: str) -> None:
+    # one C-level pass over the types; the loop that names the first bad
+    # value runs only when some value is not a plain int
+    if not {int}.issuperset(map(type, values)):
+        for x in values:
+            _require_int(x, label)
+
+
 def _show_int(x: object) -> str:
     """x for a message: str(x), or, for an int str() refuses, its digit count.
 
@@ -134,11 +142,7 @@ class CycleColoring(_Record):
         _require_int(n, "'n'")
         _require_int(t, "'t'")
         colors = tuple(colors)
-        # one C-level pass over the entry types; the loop that names the
-        # first bad entry runs only when some entry is not a plain int
-        if not {int}.issuperset(map(type, colors)):
-            for x in colors:
-                _require_int(x, "'colors' entry")
+        _require_ints(colors, "'colors' entry")
         _check_n(n)
         _check_t(n, t)
         if len(colors) != n:
@@ -206,9 +210,11 @@ def rotate_edges(c: CycleColoring, offset: int) -> CycleColoring:
 def shift_colors(c: CycleColoring, delta: int) -> CycleColoring:
     """Advance every color by delta around the color circle 1..t.
 
-    delta must be an integer (TypeError otherwise), so every color stays one.
+    delta must be an int, as rotate_edges' offset must (ValueError
+    otherwise, bool included), so every color stays one.
     """
-    d = operator.index(delta) % c.t
+    _require_int(delta, "'delta'")
+    d = delta % c.t
     if d == 0:
         return c
     colors = tuple((x - 1 + d) % c.t + 1 for x in c.colors)

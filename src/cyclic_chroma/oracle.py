@@ -112,6 +112,8 @@ class SearchConfig(_Record):
             if limit < 1:
                 shown = _show_int(limit)
                 raise ValueError(f"limit must be >= 1 when given, got {shown}")
+        if type(fix_first_color) is not bool:
+            raise ValueError(f"fix_first_color must be a bool, got {fix_first_color!r}")
         if fix_first_color and mode != CYCLIC:
             raise ValueError("fix_first_color is only sound in cyclic mode")
         _assign(self, "mode", mode)

@@ -21,7 +21,7 @@ from cyclic_chroma import (
     theta_cyclic,
     theta_interval,
 )
-from cyclic_chroma.characterization import _gap
+from cyclic_chroma.characterization import _gap, _int_between
 
 # deterministic sample of larger cycle sizes, to keep full-range invariant
 # checks affordable
@@ -35,6 +35,20 @@ NON_INT_PROBES = [
 ]
 
 CLOSED_FORMS = [chi_prime, bounds_cyc, theta_cyclic, theta_interval, forbidden_set]
+
+
+@pytest.mark.parametrize("lo, hi", [(-3, 3), (2, 2), (2, 5), (3, 4), (4, 9)])
+def test_int_between_always_answers_with_an_int(lo, hi):
+    ints = set(range(lo, hi + 1))
+    for x in NON_INT_PROBES:  # 4+1j among them
+        got = _int_between(x, lo, hi)
+        try:
+            held = x in ints
+        except TypeError:  # an unhashable probe, such as [], is in no set
+            held = False
+        assert type(got) is int, (x, lo, hi)
+        assert (got == lo - 1) == (not held), (x, lo, hi)
+        assert not held or got == x, (x, lo, hi)
 
 
 @pytest.mark.parametrize(
@@ -368,6 +382,33 @@ class TestThetaSet:
         assert peak < 4096
         assert answers == (True, False, True, len(ts.members), True)
         assert first == [2, 3, 4]
+
+    def test_closed_forms_compare_without_building_members(self):
+        n = MATERIALIZE_CAP
+        tracemalloc.start()
+        try:
+            answers = (
+                theta_cyclic(n) == theta_cyclic(n),
+                theta_cyclic(n) == theta_interval(n),
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096
+        assert answers == (True, False)
+
+    def test_closed_forms_compare_as_their_members(self):
+        for n in range(3, 2001):
+            thetas = (theta_cyclic, theta_interval)
+            sets = [theta(m) for m in (n, n + 1) for theta in thetas]
+            for a in sets:
+                for b in sets:
+                    got = a == b, a != b
+                    want = (a.n, a.members) == (b.n, b.members)
+                    assert got == (want, not want), (n, a, b)
+            for a in sets:
+                by_hand = ThetaSet(a.n, a.members, "formula")
+                assert a == by_hand and by_hand == a and hash(a) == hash(by_hand)
 
     @pytest.mark.parametrize("theta", [theta_cyclic, theta_interval])
     def test_members_is_built_once(self, theta):

@@ -2,6 +2,7 @@ import gc
 import sys
 import tracemalloc
 
+import numpy
 import pytest
 
 from naive_oracle import count_naive, enumerate_naive, vertex_ok
@@ -326,6 +327,15 @@ class TestSearchConfig:
     def test_fixing_requires_cyclic(self):
         with pytest.raises(ValueError):
             SearchConfig(mode=INTERVAL, fix_first_color=True)
+
+    @pytest.mark.parametrize("fix", ["no", 1, None, numpy.True_], ids=repr)
+    @pytest.mark.parametrize("mode", [CYCLIC, INTERVAL])
+    def test_fixing_must_be_a_bool(self, fix, mode):
+        # refused before the cyclic-mode rule, so interval mode says the same
+        message = f"fix_first_color must be a bool, got {fix!r}"
+        with pytest.raises(ValueError) as info:
+            SearchConfig(mode=mode, fix_first_color=fix)
+        assert str(info.value) == message
 
 
 class TestThetaBySearch:

@@ -1,6 +1,7 @@
 """Every coloring and feasible set built on an unchecked path passes the
 public check unchanged."""
 
+import numpy
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -57,15 +58,19 @@ def test_rotate_edges_output_passes_the_public_check(c, k):
     assert_passes_public_check(rotate_edges(c, k % c.n))
 
 
-@given(witnesses(), st.integers(-100, 100) | st.booleans())
+@given(witnesses(), st.integers(-100, 100))
 def test_shift_colors_output_passes_the_public_check(c, delta):
     assert_passes_public_check(shift_colors(c, delta))
 
 
-@pytest.mark.parametrize("delta", [1.0, 1.5])
+@pytest.mark.parametrize(
+    "delta", [True, False, 1.0, 1.5, numpy.int64(1), "1"], ids=repr
+)
 def test_shift_colors_refuses_a_non_integer_delta(delta):
-    with pytest.raises(TypeError):
+    # the int rule rotate_edges applies to its offset
+    with pytest.raises(ValueError) as info:
         shift_colors(construct(5, 3), delta)
+    assert str(info.value) == f"'delta' must be an integer, got {delta!r}"
 
 
 @pytest.mark.parametrize(
