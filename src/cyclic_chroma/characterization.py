@@ -26,8 +26,15 @@ from collections.abc import Set
 from itertools import chain
 from math import trunc
 
-from .model import CycleColoring, _assign, _check_n, _Record, _require_int
-from .model import _require_ints, _show_int
+from .model import (
+    CycleColoring,
+    _assign,
+    _check_n,
+    _Record,
+    _require_int,
+    _require_ints,
+    _show_int,
+)
 
 __all__ = [
     "MATERIALIZE_CAP",
@@ -139,21 +146,6 @@ class ThetaSet(_Record):
             i = bisect_left(first, t)
             return i < len(first) and first[i] == t
         return any(t in r for r in self._parts)
-
-    def __eq__(self, other: object) -> bool:
-        # two closed forms compare n and their ranges, building no members:
-        # for one n, theta_cyclic has two ranges and theta_interval one, and
-        # only the cyclic set holds n, so unequal ranges mean unequal members
-        if (
-            other.__class__ is self.__class__
-            and type(self._parts[0]) is range
-            and type(other._parts[0]) is range
-        ):
-            return self.n == other.n and self._parts == other._parts
-        return _Record.__eq__(self, other)
-
-    # a closed form hashes as the hand-built set of its members does
-    __hash__ = _Record.__hash__
 
     def __iter__(self):
         return chain.from_iterable(self._parts)

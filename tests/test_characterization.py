@@ -383,33 +383,6 @@ class TestThetaSet:
         assert answers == (True, False, True, len(ts.members), True)
         assert first == [2, 3, 4]
 
-    def test_closed_forms_compare_without_building_members(self):
-        n = MATERIALIZE_CAP
-        tracemalloc.start()
-        try:
-            answers = (
-                theta_cyclic(n) == theta_cyclic(n),
-                theta_cyclic(n) == theta_interval(n),
-            )
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4096
-        assert answers == (True, False)
-
-    def test_closed_forms_compare_as_their_members(self):
-        for n in range(3, 2001):
-            thetas = (theta_cyclic, theta_interval)
-            sets = [theta(m) for m in (n, n + 1) for theta in thetas]
-            for a in sets:
-                for b in sets:
-                    got = a == b, a != b
-                    want = (a.n, a.members) == (b.n, b.members)
-                    assert got == (want, not want), (n, a, b)
-            for a in sets:
-                by_hand = ThetaSet(a.n, a.members, "formula")
-                assert a == by_hand and by_hand == a and hash(a) == hash(by_hand)
-
     @pytest.mark.parametrize("theta", [theta_cyclic, theta_interval])
     def test_members_is_built_once(self, theta):
         for n in (6, 7, MATERIALIZE_CAP):
