@@ -101,7 +101,9 @@ class ThetaSet(_Record):
     the checked tuple as its one part and its ``members``.  ``len``, ``bool``
     and iteration work from the parts; ``in`` maps a non-int probe to the
     int it equals in O(1), then takes O(1) per range or bisects the tuple.
-    ``==`` between two closed forms compares n and the ranges in O(1).
+    ``==`` and ``hash`` are the record's, over n, ``members`` and
+    provenance, so they build ``members`` of a closed form that has not
+    yet read it: O(|members|) on the first comparison.
     """
 
     __slots__ = ("n", "_parts", "provenance", "_members")

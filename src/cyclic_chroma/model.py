@@ -3,7 +3,8 @@
 A cycle with n edges uses 1-based circular indexing: edge i joins vertices
 i and i+1 (vertex n+1 wraps to vertex 1), so vertex i is incident to edges
 i-1 and i (edge 0 wraps to edge n).  Colors are integers in [1, t].
-All values are immutable and every operation is pure.
+All values are immutable and every operation is pure; a coloring's one
+private memo, ``_walk``, is no field and changes no result.
 
 The public ``CycleColoring(n, t, colors)`` constructor is the one strict
 boundary: n, t and every color must be ints (int subclasses such as an
@@ -14,6 +15,9 @@ and size, so every entry that takes a cycle size checks it with one call.
 ``CycleColoring._trusted(n, t, colors)`` skips every check and is for
 builders whose output is right by construction: its caller guarantees
 n >= 3, 1 <= t <= n, a tuple of length n and every color an int in [1, t].
+Both build paths leave the private ``_walk`` memo empty (None): it is no
+field, and only ``verifier.verify``'s own read of the colors fills it, so
+no builder can vouch for its output's walk.
 
 The package's record classes derive from ``_Record``: a frozen base with
 slotted fields, written out so that importing the package loads no class
@@ -133,10 +137,15 @@ class _Record:
 class CycleColoring(_Record):
     """Colors 1..t assigned to the n edges of a simple cycle.
 
-    ``colors[i]`` is the color of edge i+1.
+    ``colors[i]`` is the color of edge i+1.  ``_walk`` is no field: it is
+    None, or the frozenset of steps b - a that ``verify`` read the colors
+    take with no violation, so a later ``verify`` whose mode allows them
+    skips the read.  ``==``, ``hash``, ``repr``, pickling and copying see
+    the three fields only.
     """
 
-    __slots__ = ("n", "t", "colors")
+    __slots__ = ("n", "t", "colors", "_walk")
+    _names = ("n", "t", "colors")
 
     def __init__(self, n: int, t: int, colors: tuple[int, ...]) -> None:
         _require_int(n, "'n'")
@@ -152,6 +161,7 @@ class CycleColoring(_Record):
         _assign(self, "n", n)
         _assign(self, "t", t)
         _assign(self, "colors", colors)
+        _assign(self, "_walk", None)
 
     @classmethod
     def _trusted(cls, n: int, t: int, colors: tuple[int, ...]) -> CycleColoring:
@@ -160,6 +170,7 @@ class CycleColoring(_Record):
         _assign(c, "n", n)
         _assign(c, "t", t)
         _assign(c, "colors", colors)
+        _assign(c, "_walk", None)
         return c
 
     def to_record(self) -> dict:

@@ -9,7 +9,7 @@ order, must match ``loop_reference`` exactly.
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import loop_reference
@@ -36,7 +36,11 @@ def assert_matches_reference(c):
         got, want = verify(c, mode), loop_reference.verify(c, mode)
         assert got == want, (c, mode)
         assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
-    if not verify(c, CYCLIC).mode_satisfied:
+    assert_decomposes_as_reference(c)
+
+
+def assert_decomposes_as_reference(c):
+    if not loop_reference.verify(c, CYCLIC).mode_satisfied:
         with pytest.raises(ValueError):
             decompose(c)
         return
@@ -231,6 +235,35 @@ def test_rotated_shifted_witnesses(c):
 @given(recolored_witnesses())
 def test_witnesses_with_one_edge_recolored(c):
     assert_matches_reference(c)
+
+
+# the walks of test_verifier's test_walk_that_misses_colors: no wrap step
+# and t never used, no wrap step and 1 never used, wraps both ways
+MISSING_COLOR_WALKS = [
+    CycleColoring(10_000, 3, (1, 2) * 5_000),
+    CycleColoring(10_000, 3, (2, 3) * 5_000),
+    CycleColoring(10_000, 5, (1, 5) * 5_000),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    witnesses() | recolored_witnesses() | st.sampled_from(MISSING_COLOR_WALKS)
+)
+@example(construct(12, 4))  # a zigzag: its wrap steps break interval mode
+@example(construct(3_000, 1_000))  # the same over three blocks
+def test_a_coloring_verified_again_gets_the_same_reports(c):
+    # verify remembers the steps of a coloring it read with no violation
+    # and reads none again in a mode that allows them; in either order of
+    # the modes, twice over, and then in decompose, no report may change
+    for order in ((INTERVAL, CYCLIC), (CYCLIC, INTERVAL)):
+        again = CycleColoring(c.n, c.t, c.colors)
+        for mode in order * 2:
+            fresh = CycleColoring(c.n, c.t, c.colors)
+            assert verify(again, mode) == loop_reference.verify(fresh, mode), (
+                order, mode
+            )
+        assert_decomposes_as_reference(again)
 
 
 @pytest.mark.parametrize("n, t", [(200_000, 3), (200_000, 100_001), (199_999, 99_999)])

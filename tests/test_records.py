@@ -38,32 +38,47 @@ FIELDS = {
 }
 
 
-# per class, a builder whose every call makes a new value equal to the last
+def verified(c):
+    """c after verify has read it and left its private memo of c's walk."""
+    verify(c, "interval")
+    assert c._walk is not None
+    return c
+
+
+# per label, a builder whose every call makes a new value equal to the last;
+# a label is the class name of its values, or a variant of one whose values
+# must equal those built under the class name
 BUILDS = {
-    CycleColoring: lambda: CycleColoring(4, 2, [1, 2, 1, 2]),
-    ThetaSet: lambda: ThetaSet(6, [2, 3, 4, 6], "formula"),
-    VerificationReport: lambda: verify(CycleColoring(4, 2, (1, 1, 2, 2)), "interval"),
-    SearchConfig: lambda: SearchConfig("interval", 3),
-    ProofDecomposition: lambda: decompose(construct(8, 3)),
+    "CycleColoring": lambda: CycleColoring(4, 2, [1, 2, 1, 2]),
+    "verified-CycleColoring": lambda: verified(CycleColoring(4, 2, [1, 2, 1, 2])),
+    "ThetaSet": lambda: ThetaSet(6, [2, 3, 4, 6], "formula"),
+    "VerificationReport": lambda: verify(
+        CycleColoring(4, 2, (1, 1, 2, 2)), "interval"
+    ),
+    "SearchConfig": lambda: SearchConfig("interval", 3),
+    "ProofDecomposition": lambda: decompose(construct(8, 3)),
 }
-CLASSES = list(BUILDS)
+LABELS = list(BUILDS)
 
 
-@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
-def test_equal_builds_are_equal_and_hash_alike(cls):
-    a, b = BUILDS[cls](), BUILDS[cls]()
+@pytest.mark.parametrize("label", LABELS)
+def test_equal_builds_are_equal_and_hash_alike(label):
+    a, b = BUILDS[label](), BUILDS[label]()
     assert a is not b
     assert a == b and not a != b
     assert hash(a) == hash(b)
     assert len({a, b}) == 1
+    # verify's memo is no field: a verified coloring equals an unverified one
+    c = BUILDS[type(a).__name__]()
+    assert a == c and c == a and hash(a) == hash(c) and repr(a) == repr(c)
 
 
-@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
-def test_equal_only_to_the_same_class(cls):
-    a = BUILDS[cls]()
+@pytest.mark.parametrize("label", LABELS)
+def test_equal_only_to_the_same_class(label):
+    a = BUILDS[label]()
     assert a != object()
     assert a.__eq__(object()) is NotImplemented
-    assert a != tuple(getattr(a, f) for f in FIELDS[cls])
+    assert a != tuple(getattr(a, f) for f in FIELDS[type(a)])
 
 
 def test_a_subclass_is_another_class():
@@ -114,17 +129,17 @@ def test_repr():
 def test_field_order():
     # repr lists the fields in order; positional construction follows it
     for cls, names in FIELDS.items():
-        value = BUILDS[cls]()
+        value = BUILDS[cls.__name__]()
         shown = ", ".join(f"{name}={getattr(value, name)!r}" for name in names)
         assert repr(value) == f"{cls.__name__}({shown})"
         assert cls(*(getattr(value, name) for name in names)) == value
 
 
-@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
-def test_fields_cannot_be_set_or_deleted(cls):
-    value = BUILDS[cls]()
+@pytest.mark.parametrize("label", LABELS)
+def test_fields_cannot_be_set_or_deleted(label):
+    value = BUILDS[label]()
     before = repr(value)
-    for name in FIELDS[cls]:
+    for name in FIELDS[type(value)]:
         with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
             setattr(value, name, None)
         with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
@@ -185,22 +200,25 @@ def test_wrong_arguments_are_refused_by_signature():
         ThetaSet(6, (2,), "search", colour=1)
 
 
-@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("label", LABELS)
 @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
-def test_pickle_round_trip(cls, protocol):
-    value = BUILDS[cls]()
+def test_pickle_round_trip(label, protocol):
+    value = BUILDS[label]()
     back = pickle.loads(pickle.dumps(value, protocol))
-    assert type(back) is cls
+    assert type(back) is type(value)
     assert back == value and hash(back) == hash(value)
     assert repr(back) == repr(value)
+    # a copy is rebuilt from the fields, so verify's memo stays behind
+    assert getattr(back, "_walk", None) is None
 
 
-@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
-def test_copy_round_trip(cls):
-    value = BUILDS[cls]()
+@pytest.mark.parametrize("label", LABELS)
+def test_copy_round_trip(label):
+    value = BUILDS[label]()
     for back in (copy.copy(value), copy.deepcopy(value)):
-        assert type(back) is cls
+        assert type(back) is type(value)
         assert back == value and repr(back) == repr(value)
+        assert getattr(back, "_walk", None) is None
     with pytest.raises(AttributeError):
         copy.deepcopy(value).extra = 1
 

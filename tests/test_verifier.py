@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -8,6 +10,7 @@ import loop_reference
 import naive_oracle
 from counting_probe import HashCountingInt
 
+import cyclic_chroma.verifier
 from cyclic_chroma import (
     CYCLIC,
     INTERVAL,
@@ -18,9 +21,12 @@ from cyclic_chroma import (
     Violation,
     construct,
     decompose,
+    enumerate_colorings,
     shift_colors,
     rotate_edges,
+    tent,
     verify,
+    zigzag_staircase,
 )
 from cyclic_chroma.verifier import _steps
 
@@ -286,6 +292,88 @@ class TestCoverageFromTheWalk:
         rep, used = peak(lambda: verify(c, CYCLIC))
         assert rep.missing_colors == frozenset({n // 2 - 1})
         assert used <= 1.25 * one_set, (used, one_set)
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """A list that grows by one for each vertex whose step verify reads."""
+    seen = []
+
+    def sub(b, a):
+        seen.append(None)
+        return b - a
+
+    monkeypatch.setattr(cyclic_chroma.verifier, "sub", sub)
+    return seen
+
+
+def _built_from_a_verified_coloring():
+    """Every builder's output; those that take a coloring get a verified one."""
+    source = construct(3_000, 1_000)  # a zigzag over three blocks
+    assert verify(source).mode_satisfied
+    return [
+        ("construct", construct(3_000, 1_001)),
+        ("tent", tent(3_000, 999)),
+        ("zigzag_staircase", zigzag_staircase(3_001, 3)),
+        ("rotate_edges", rotate_edges(source, 1_500)),
+        ("shift_colors", shift_colors(source, 7)),
+        ("from_record", CycleColoring.from_record(source.to_record())),
+    ] + [("enumerate_colorings", c) for c in enumerate_colorings(8, 4)]
+
+
+def test_first_verify_reads_every_vertex_and_a_second_none(reads):
+    # only verify's own read fills the memo, so no builder can vouch for
+    # its output; a second verify whose mode allows every remembered step
+    # reads no vertex, and one that does not reads them all again
+    for builder, c in _built_from_a_verified_coloring():
+        reads.clear()
+        first = verify(c, CYCLIC)
+        assert first.mode_satisfied and len(reads) == c.n, builder
+        for mode in (INTERVAL, CYCLIC):
+            want = loop_reference.verify(c, mode)
+            reads.clear()
+            assert verify(c, mode) == want, (builder, mode)
+            if want.mode_satisfied:
+                assert len(reads) == 0, (builder, mode)
+            else:
+                assert len(reads) >= c.n, (builder, mode)
+
+
+def test_threads_verifying_shared_colorings_get_the_reference_reports():
+    # four threads verify the same fresh colorings at once, in both modes
+    # and either order, while the others may be filling the memos
+    walks = [construct(3_000, t) for t in (3, 999, 1_000, 1_001)]
+    walks.append(CycleColoring(3_000, 3, (1, 2) * 1_500))  # misses color 3
+    want = {
+        (i, mode): loop_reference.verify(c, mode)
+        for i, c in enumerate(walks)
+        for mode in (INTERVAL, CYCLIC)
+    }
+    wrong = []
+
+    def work(shared, order):
+        for i, c in enumerate(shared):
+            for mode in order:
+                if verify(c, mode) != want[i, mode]:
+                    wrong.append((i, mode))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            shared = [CycleColoring(c.n, c.t, c.colors) for c in walks]
+            threads = [
+                threading.Thread(target=work, args=(shared, order))
+                for order in ((INTERVAL, CYCLIC), (CYCLIC, INTERVAL)) * 2
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
 
 
 class TestSymmetries:
