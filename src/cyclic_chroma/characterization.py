@@ -28,7 +28,6 @@ from math import trunc
 
 from .model import (
     CycleColoring,
-    _assign,
     _check_n,
     _Record,
     _require_int,
@@ -122,10 +121,10 @@ class ThetaSet(_Record):
         self._build(n, (members,), provenance, members)
 
     def _build(self, n: int, parts: tuple, provenance: str, members) -> ThetaSet:
-        _assign(self, "n", n)
-        _assign(self, "_parts", parts)
-        _assign(self, "provenance", provenance)
-        _assign(self, "_members", members)
+        _set_n(self, n)
+        _set_parts(self, parts)
+        _set_provenance(self, provenance)
+        _set_members(self, members)
         return self
 
     @classmethod
@@ -137,7 +136,7 @@ class ThetaSet(_Record):
     @property
     def members(self) -> tuple[int, ...]:
         if self._members is None:
-            _assign(self, "_members", tuple(chain.from_iterable(self._parts)))
+            _set_members(self, tuple(chain.from_iterable(self._parts)))
         return self._members
 
     def __contains__(self, t: object) -> bool:
@@ -154,6 +153,13 @@ class ThetaSet(_Record):
 
     def __len__(self) -> int:
         return sum(map(len, self._parts))
+
+
+# each field's slot setter: it skips the frozen __setattr__ and the checks
+# of object.__setattr__, a third of the time of ThetaSet._of_ranges
+_set_n, _set_parts, _set_provenance, _set_members = (
+    ThetaSet.__dict__[name].__set__ for name in ThetaSet.__slots__
+)
 
 
 def _size(s: Set) -> int:
@@ -265,10 +271,14 @@ def _check_cap(n: int, what: str) -> None:
 def _split(n: int) -> tuple[int, int]:
     """(chi'(n), s): a tent reaches t in [chi', s), n - t splits [s, n].
 
-    (2, n/2+2) for even n, (3, 3) for odd n; refuses a bad n.  A pair, not
-    a range: building a range made contains() about 25% slower.
+    (2, n/2+2) for even n, (3, 3) for odd n; refuses a bad n.  A plain int
+    n >= 3 passes an inline test with no call; any other n goes to
+    _check_n, which states the rule.  A pair, not a range: every closed
+    form, contains() and each refusal read it, and a range built per call
+    would slow them all.
     """
-    _check_n(n)
+    if type(n) is not int or n < 3:
+        _check_n(n)
     if n % 2:
         return 3, 3
     return 2, n // 2 + 2
@@ -334,7 +344,7 @@ def bounds_cyc(n: int) -> tuple[int, int]:
 
     Constant time for every n >= 3: unlike theta_cyclic, no cap applies.
     """
-    return (chi_prime(n), n)
+    return (_split(n)[0], n)
 
 
 class Infeasible(Exception):
@@ -343,14 +353,52 @@ class Infeasible(Exception):
     ``reason`` names the gate that failed: "range" when t falls outside
     [chi', n], "forbidden" when t sits in the parity gap, "pattern" when a
     specific builder was asked for parameters outside its shape.
+
+    ``construct`` passes no ``message``: its text, for a t out of range or
+    in the gap, is built from n, t and reason when ``message``, ``str()``,
+    ``repr()`` or ``args`` is first read, and then kept.  ``args`` is
+    ``(message,)``.  Pickling and copying keep n, t, reason and the text
+    once built or given.
     """
 
-    def __init__(self, n: int, t: int, reason: str, message: str) -> None:
-        super().__init__(message)
+    def __init__(self, n: int, t: int, reason: str, message: str | None = None) -> None:
         self.n = n
         self.t = t
         self.reason = reason
-        self.message = message
+        self._message = message
+
+    @property
+    def message(self) -> str:
+        if self._message is None:
+            self._message = _refusal(self.n, self.t, self.reason)
+        return self._message
+
+    @property
+    def args(self) -> tuple[str]:
+        return (self.message,)
+
+    def __str__(self) -> str:
+        return self.message
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.message!r})"
+
+    def __reduce__(self):
+        # the dict holds the text once built or given, and any note added
+        return type(self), (self.n, self.t, self.reason), self.__dict__
+
+
+def _refusal(n: int, t: int, reason: str) -> str:
+    """The text of construct's refusal of t for C(n): out of range, or in the gap."""
+    if reason == REASON_FORBIDDEN:
+        gap = _gap(n)
+        # len() of a range longer than sys.maxsize overflows; its slice's does not
+        members = gap if len(gap[:4]) <= 3 else (gap[0], gap[1], "...", gap[-1])
+        shown = ",".join(map(_show_int, members))
+        where = f"in forbidden set {{{shown}}} of"
+    else:
+        where = f"outside [{chi_prime(n)},{_show_int(n)}] for"
+    return f"t={_show_int(t)} {where} C({_show_int(n)})"
 
 
 def zigzag_staircase(n: int, t: int) -> CycleColoring:
@@ -397,17 +445,12 @@ def construct(n: int, t: int) -> CycleColoring:
     MATERIALIZE_CAP is refused with ValueError, after the Infeasible checks.
     """
     chi, s = _split(n)
-    _require_int(t, "'t'")
+    if type(t) is not int:
+        _require_int(t, "'t'")
     if not chi <= t <= n:
-        reason, where = REASON_RANGE, f"outside [{chi},{_show_int(n)}] for"
-    elif (n - t) % 2 == 0:
+        raise Infeasible(n, t, REASON_RANGE)
+    if (n - t) % 2 == 0:
         return zigzag_staircase(n, t)
-    elif t < s:
+    if t < s:
         return tent(n, t)
-    else:
-        gap = _gap(n)
-        # len() of a range longer than sys.maxsize overflows; its slice's does not
-        members = gap if len(gap[:4]) <= 3 else (gap[0], gap[1], "...", gap[-1])
-        shown = ",".join(map(_show_int, members))
-        reason, where = REASON_FORBIDDEN, f"in forbidden set {{{shown}}} of"
-    raise Infeasible(n, t, reason, f"t={_show_int(t)} {where} C({_show_int(n)})")
+    raise Infeasible(n, t, REASON_FORBIDDEN)

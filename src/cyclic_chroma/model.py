@@ -138,10 +138,11 @@ class CycleColoring(_Record):
     """Colors 1..t assigned to the n edges of a simple cycle.
 
     ``colors[i]`` is the color of edge i+1.  ``_walk`` is no field: it is
-    None, or the frozenset of steps b - a that ``verify`` read the colors
-    take with no violation, so a later ``verify`` whose mode allows them
-    skips the read.  ``==``, ``hash``, ``repr``, pickling and copying see
-    the three fields only.
+    None, or, once ``verify`` has read the colors and found no violation,
+    the pair of the frozenset of steps b - a they take and the frozenset
+    of colors they miss, so a later ``verify`` whose mode allows those
+    steps skips the read.  ``==``, ``hash``, ``repr``, pickling and
+    copying see the three fields only.
     """
 
     __slots__ = ("n", "t", "colors", "_walk")

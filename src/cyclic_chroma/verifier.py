@@ -18,11 +18,12 @@ coverage with no set of the colors:
 * wraps in both directions, or a vertex that breaks the rule: one set of
   the colors decides, and 1..t is tested against it for the missing ones.
 
-A read that finds no violation leaves the steps it found in the coloring's
-private ``_walk`` memo.  A later ``verify`` of the same coloring in a mode
-that allows every remembered step reads no color again, and takes coverage
-off the remembered wraps; so a tent checked in both modes, or ``decompose``
-after ``verify``, reads the walk once.  Only this read fills the memo: a
+A read that finds no violation leaves the steps it found, and the colors
+it found missing, in the coloring's private ``_walk`` memo.  A later
+``verify`` of the same coloring in a mode that allows every remembered
+step reads no color again, not even for 1 and t, and reports the
+remembered missing colors; so a tent checked in both modes, or
+``decompose`` after ``verify``, reads the walk once.  Only this read fills the memo: a
 coloring fresh from a builder or a record holds None and is read in full.
 Two threads that verify one coloring at once store the same value.
 """
@@ -143,8 +144,9 @@ def verify(c: CycleColoring, mode: str = CYCLIC) -> VerificationReport:
     So an invalid coloring reads each failing block twice, at most _BLOCK
     more differences per block: a large share of its cost when n is small.
     Missing colors are those of 1..t that one set of the colors lacks.
-    A read with no violation stores its steps in ``c._walk``; when they
-    all lie in this mode's steps no block is read, as the module doc says.
+    A read with no violation stores its steps and missing colors in
+    ``c._walk``; when the steps all lie in this mode's steps no color is
+    read, as the module doc says.
     """
     _check_mode(mode)
     n, t, colors = c.n, c.t, c.colors
@@ -152,14 +154,15 @@ def verify(c: CycleColoring, mode: str = CYCLIC) -> VerificationReport:
     proper = True
     steps = _steps(t, mode)
     walk = c._walk
-    if walk is not None and walk <= steps:
+    if walk is not None and walk[0] <= steps:
         # an earlier read found these steps and no violation, and this mode
-        # allows them all: every vertex keeps the rule, so none is read
-        taken, end = walk, 0
-    else:
-        taken, end = set(), n
+        # allows them all: every vertex keeps the rule, so none is read,
+        # and the colors it found missing are missing in this mode too
+        missing = walk[1]
+        return VerificationReport(True, not missing, not missing, (), missing)
+    taken = set()
     reason = NOT_INTERVAL if mode == INTERVAL else NOT_CYCLIC_INTERVAL
-    for lo in range(0, end, _BLOCK):
+    for lo in range(0, n, _BLOCK):
         hi = lo + _BLOCK
         # vertex i + 1 sees colors[i - 1] and colors[i]; in the last block
         # ``before`` may hold one color more, which map and zip ignore
@@ -180,8 +183,6 @@ def verify(c: CycleColoring, mode: str = CYCLIC) -> VerificationReport:
                     violations.append(_new_tuple(Violation, (v, (x, y), NOT_PROPER)))
                 elif y - x not in steps:
                     violations.append(_new_tuple(Violation, (v, (x, y), reason)))
-    if end and not violations:
-        _assign(c, "_walk", frozenset(taken))
     # the wrap steps t - 1 and 1 - t taken, none in interval mode or for
     # t <= 2: one direction winds round C_t, none stays on the path 1..t
     wraps = taken - _UNIT_STEPS
@@ -197,6 +198,8 @@ def verify(c: CycleColoring, mode: str = CYCLIC) -> VerificationReport:
             if len(seen) == t
             else frozenset(filterfalse(seen.__contains__, range(1, t + 1)))
         )
+    if not violations:
+        _assign(c, "_walk", (frozenset(taken), missing))
     return VerificationReport(
         proper=proper,
         surjective=not missing,

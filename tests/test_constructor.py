@@ -1,3 +1,7 @@
+import copy
+import pickle
+import sys
+
 import numpy
 import pytest
 
@@ -180,3 +184,129 @@ class TestConstruct:
                 assert same_parity != tent_shape, (n, t)
                 if tent_shape:
                     assert t <= n // 2 + 1, (n, t)
+
+
+# ---------------------------------------------------------------------------
+# The text of a refusal, written out here from chi', n and the parity gap.
+
+_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_STR_LIMIT = 10**_STR_DIGITS  # the least int that str() refuses
+
+
+def _shown(x):
+    """x as a refusal shows it: in decimal, or by its digit count past str()'s limit."""
+    if not _STR_DIGITS or abs(x) < _STR_LIMIT:
+        return str(x)
+    digits = _STR_DIGITS + 1
+    while 10**digits <= abs(x):
+        digits += 1
+    return f"<a {'negative ' if x < 0 else ''}{digits}-digit integer>"
+
+
+def _expected_refusal(n, t):
+    """(reason, text) of construct's refusal of t for C(n), or None if t is feasible."""
+    chi = 3 if n % 2 else 2
+    if not chi <= t <= n:
+        return REASON_RANGE, f"t={_shown(t)} outside [{chi},{_shown(n)}] for C({_shown(n)})"
+    # the gap: the even t in [4, n-1] for odd n, the odd t in [n/2+2, n-1] for even n
+    first = 4 if n % 2 else n // 2 + 3 - (n // 2) % 2
+    if (n - t) % 2 == 0 or t < first:
+        return None
+    last = n - 1
+    if (last - first) // 2 + 1 <= 3:
+        shown = range(first, last + 1, 2)
+    else:
+        shown = (first, first + 2, "...", last)
+    gap = ",".join(x if x == "..." else _shown(x) for x in shown)
+    return REASON_FORBIDDEN, f"t={_shown(t)} in forbidden set {{{gap}}} of C({_shown(n)})"
+
+
+# the four reads that build a refusal's text
+_READS = (lambda e: e.message, str, repr, lambda e: e.args)
+
+
+def _assert_refusal_reads(n, t, reason, text):
+    # each of the four reads may come first, and all four then agree
+    for first in _READS:
+        try:
+            construct(n, t)
+        except Infeasible as refusal:
+            e = refusal
+        else:
+            pytest.fail(f"construct({n}, {t}) built a witness")
+        first(e)
+        assert (e.n, e.t, e.reason) == (n, t, reason)
+        assert e.message == text and str(e) == text
+        assert repr(e) == f"Infeasible({text!r})"
+        assert e.args == (text,)
+
+
+def test_refusal_text_is_the_arithmetic_of_the_gap():
+    refused = {REASON_RANGE: 0, REASON_FORBIDDEN: 0}
+    for n in range(3, 201):
+        for t in range(-1, 2 * n + 1):
+            want = _expected_refusal(n, t)
+            assert (want is None) == contains(n, t), (n, t)
+            if want is not None:
+                _assert_refusal_reads(n, t, *want)
+                refused[want[0]] += 1
+    assert min(refused.values()) > 5_000, refused
+
+
+@pytest.mark.skipif(not _STR_DIGITS, reason="str() converts ints of any length")
+@pytest.mark.parametrize(
+    "n, t",
+    [
+        (10**_STR_DIGITS + 1, 4),  # odd n, the gap's last member n - 1 too long
+        (10 ** (_STR_DIGITS + 1), 10 ** (_STR_DIGITS + 1) - 1),  # even n, long gap ends
+        (10 ** (_STR_DIGITS + 1), 10 ** (_STR_DIGITS + 1) + 1),  # t just past n
+        (7, 10**5000),
+        (7, -(10**5000)),
+        (10**_STR_DIGITS - 1, 10**_STR_DIGITS),  # n still in decimal, t not
+    ],
+    ids=["odd-n", "even-n", "range-huge-n", "range-huge-t", "range-negative-t",
+         "range-t-one-digit-past"],
+)
+def test_refusal_text_of_ints_past_the_str_limit(n, t):
+    want = _expected_refusal(n, t)
+    assert want is not None
+    _assert_refusal_reads(n, t, *want)
+
+
+def _refusals():
+    """A refusal of each reason, with its text unread and read."""
+    made = []
+    for build, n, t in (
+        (construct, 6, 5),
+        (construct, 6, 1),
+        (construct, 10**4000 + 1, 4),  # pickle protocols 0 and 1 write ints as text
+        (tent, 5, 3),
+        (zigzag_staircase, 6, 3),
+    ):
+        for read in (False, True):
+            with pytest.raises(Infeasible) as info:
+                build(n, t)
+            if read:
+                info.value.message
+            made.append(info.value)
+    return made
+
+
+_COPIES = {
+    **{
+        f"pickle-{protocol}": lambda e, p=protocol: pickle.loads(pickle.dumps(e, p))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    },
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("how", list(_COPIES))
+def test_refusals_pickle_and_copy(how):
+    for e in _refusals():
+        back = _COPIES[how](e)
+        assert type(back) is Infeasible
+        assert (back.n, back.t, back.reason) == (e.n, e.t, e.reason)
+        assert back.message == e.message
+        assert (str(back), repr(back), back.args) == (str(e), repr(e), e.args)

@@ -339,6 +339,42 @@ def test_first_verify_reads_every_vertex_and_a_second_none(reads):
                 assert len(reads) >= c.n, (builder, mode)
 
 
+class CountingColors(tuple):
+    """A tuple of colors that counts the ``in`` tests made on it."""
+
+    def __contains__(self, x):
+        self.tests += 1
+        return super().__contains__(x)
+
+
+@pytest.mark.parametrize(
+    "colors, t, looks",
+    [
+        (tent(200_000, 99_999).colors, 99_999, True),  # no wrap
+        ((1, 2) * 1_500, 3, True),  # no wrap, misses color 3
+        ((1, 5) * 1_500, 5, False),  # wraps both ways, misses 2, 3 and 4
+        (construct(3_001, 3).colors, 3, False),  # wraps one way
+    ],
+    ids=["tent", "path-missing-t", "winding-0", "zigzag"],
+)
+def test_a_second_verify_looks_for_no_color(colors, t, looks):
+    # a first read of a walk with no wrap step tests 1 and t against the
+    # colors; the memo keeps that verdict, so a later verify that reads no
+    # vertex makes no ``in`` test on the colors either
+    colors = CountingColors(colors)
+    c = CycleColoring._trusted(len(colors), t, colors)
+    for k, mode in enumerate((CYCLIC, INTERVAL, CYCLIC, INTERVAL)):
+        want = loop_reference.verify(c, mode)
+        reused = k > 0 and c._walk[0] <= _steps(t, mode)
+        colors.tests = 0
+        assert verify(c, mode) == want, (k, mode)
+        if k == 0:
+            assert colors.tests == (2 if looks else 0)
+        elif reused:
+            assert colors.tests == 0, (k, mode)
+    assert reused == looks
+
+
 def test_threads_verifying_shared_colorings_get_the_reference_reports():
     # four threads verify the same fresh colorings at once, in both modes
     # and either order, while the others may be filling the memos
