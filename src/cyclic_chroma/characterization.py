@@ -356,12 +356,14 @@ class Infeasible(Exception):
 
     ``construct`` passes no ``message``: its text, for a t out of range or
     in the gap, is built from n, t and reason when ``message``, ``str()``,
-    ``repr()`` or ``args`` is first read, and then kept.  ``args`` is
-    ``(message,)``.  Pickling and copying keep n, t, reason and the text
-    once built or given.
+    ``repr()`` or ``args`` is first read, and then kept; any other reason
+    needs a ``message``.  ``args`` is ``(message,)``.  Pickling and copying
+    keep n, t, reason and the text once built or given.
     """
 
     def __init__(self, n: int, t: int, reason: str, message: str | None = None) -> None:
+        if message is None and reason not in (REASON_RANGE, REASON_FORBIDDEN):
+            raise ValueError(f"a refusal for reason {reason!r} needs a message")
         self.n = n
         self.t = t
         self.reason = reason
@@ -384,8 +386,8 @@ class Infeasible(Exception):
         return f"{type(self).__name__}({self.message!r})"
 
     def __reduce__(self):
-        # the dict holds the text once built or given, and any note added
-        return type(self), (self.n, self.t, self.reason), self.__dict__
+        # the text once built or given, and the dict any note added
+        return type(self), (self.n, self.t, self.reason, self._message), self.__dict__
 
 
 def _refusal(n: int, t: int, reason: str) -> str:

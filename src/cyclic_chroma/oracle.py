@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import os
 import re
+import sys
 from itertools import accumulate, compress, count, cycle, islice, repeat
 from operator import add, eq, sub
 from typing import Iterator, NamedTuple
@@ -194,8 +195,11 @@ def enumerate_colorings(
 ) -> list[CycleColoring]:
     """All valid colorings in lexicographic order, truncated at config.limit."""
     cfg = config if config is not None else SearchConfig()
+    if not isinstance(cfg, SearchConfig):
+        raise ValueError(f"config must be a SearchConfig, got {type(cfg).__name__}")
     _check_search_args(n, t)
-    walks = islice(_walks(n, t, cfg), cfg.limit)
+    # no list holds more than sys.maxsize colorings: a larger limit cuts none
+    walks = islice(_walks(n, t, cfg), min(cfg.limit or sys.maxsize, sys.maxsize))
     return [CycleColoring._trusted(n, t, colors) for colors in walks]
 
 

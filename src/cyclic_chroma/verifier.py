@@ -3,7 +3,8 @@
 A vertex of a cycle sees exactly two edge colors.  In interval mode the two
 colors must be consecutive integers; in cyclic mode they may instead be the
 first and last colors, so the palette is consecutive on the color circle.
-``_steps`` states that rule once; ``verify`` and the search read it there.
+``_steps`` states that rule once; ``verify`` and the search read it there,
+``verify`` in C-level passes that leave only the failing vertices to Python.
 
 A coloring that obeys the rule at every vertex is a closed walk on the
 color graph: the circle C_t, or the path P_t in interval mode or for
@@ -30,7 +31,7 @@ Two threads that verify one coloring at once store the same value.
 
 from __future__ import annotations
 
-from itertools import count, filterfalse
+from itertools import compress, count, filterfalse
 from operator import sub
 from typing import NamedTuple
 
@@ -55,10 +56,8 @@ NOT_PROPER = "not-proper"
 NOT_INTERVAL = "not-interval"
 NOT_CYCLIC_INTERVAL = "not-cyclic-interval"
 
-# Vertices per block in verify, and per sub-block of a block that holds a
-# violation: the unit in which violations are searched.
+# Vertices per block in verify: the unit in which violations are searched.
 _BLOCK = 1024
-_SUB_BLOCK = 256
 # _new_tuple(cls, fields) builds a NamedTuple as ``cls._make(fields)`` does,
 # without a Python-level call per object; building many violations or runs
 # is dominated by that call otherwise.
@@ -138,15 +137,12 @@ def verify(c: CycleColoring, mode: str = CYCLIC) -> VerificationReport:
     The vertices are taken in blocks of _BLOCK.  One C-level pass per block
     builds the set of its differences b - a; the sets of the blocks that
     keep the rule, unioned, are the steps that decide coverage as the
-    module docstring says.  A block whose set leaves the rule is read again
-    in sub-blocks of _SUB_BLOCK, the same way, and only a sub-block whose
-    set leaves the rule is read vertex by vertex to name its violations.
-    So an invalid coloring reads each failing block twice, at most _BLOCK
-    more differences per block: a large share of its cost when n is small.
+    module docstring says.  In a block whose set leaves the rule, a second
+    C-level pass picks the vertices whose step lies outside it; each is
+    ``not-proper`` when its two colors are equal and the mode's reason
+    otherwise.
     Missing colors are those of 1..t that one set of the colors lacks.
-    A read with no violation stores its steps and missing colors in
-    ``c._walk``; when the steps all lie in this mode's steps no color is
-    read, as the module doc says.
+    A read with no violation fills the ``c._walk`` memo of the module doc.
     """
     _check_mode(mode)
     n, t, colors = c.n, c.t, c.colors
@@ -165,7 +161,7 @@ def verify(c: CycleColoring, mode: str = CYCLIC) -> VerificationReport:
     for lo in range(0, n, _BLOCK):
         hi = lo + _BLOCK
         # vertex i + 1 sees colors[i - 1] and colors[i]; in the last block
-        # ``before`` may hold one color more, which map and zip ignore
+        # ``before`` may hold one color more, which map ignores
         before = colors[lo - 1 : hi - 1] if lo else colors[-1:] + colors[: hi - 1]
         block = colors[lo:hi]
         diffs = set(map(sub, block, before))
@@ -173,16 +169,12 @@ def verify(c: CycleColoring, mode: str = CYCLIC) -> VerificationReport:
             taken |= diffs
             continue
         # a violation lies in this block, so the walk's steps decide nothing
-        for at in range(0, len(block), _SUB_BLOCK):
-            xs, ys = before[at : at + _SUB_BLOCK], block[at : at + _SUB_BLOCK]
-            if set(map(sub, ys, xs)) <= steps:
-                continue
-            for v, x, y in zip(count(lo + at + 1), xs, ys):
-                if x == y:
-                    proper = False
-                    violations.append(_new_tuple(Violation, (v, (x, y), NOT_PROPER)))
-                elif y - x not in steps:
-                    violations.append(_new_tuple(Violation, (v, (x, y), reason)))
+        bad = diffs - steps
+        proper = proper and 0 not in bad
+        for i in compress(count(lo), map(bad.__contains__, map(sub, block, before))):
+            x, y = colors[i - 1], colors[i]
+            why = NOT_PROPER if x == y else reason
+            violations.append(_new_tuple(Violation, (i + 1, (x, y), why)))
     # the wrap steps t - 1 and 1 - t taken, none in interval mode or for
     # t <= 2: one direction winds round C_t, none stays on the path 1..t
     wraps = taken - _UNIT_STEPS

@@ -310,3 +310,15 @@ def test_refusals_pickle_and_copy(how):
         assert (back.n, back.t, back.reason) == (e.n, e.t, e.reason)
         assert back.message == e.message
         assert (str(back), repr(back), back.args) == (str(e), repr(e), e.args)
+
+
+def test_a_refusal_with_no_text_of_its_own_needs_one():
+    # only construct's two reasons build their text from n and t; any other
+    # would read as a range refusal, "t=4 outside [3,5] for C(5)", false
+    for reason in (REASON_PATTERN, "", None):
+        with pytest.raises(ValueError, match="needs a message"):
+            Infeasible(5, 4, reason)
+    given = Infeasible(5, 4, REASON_PATTERN, "tent needs an odd t")
+    assert str(given) == "tent needs an odd t"
+    assert str(Infeasible(5, 6, REASON_RANGE)) == "t=6 outside [3,5] for C(5)"
+    assert str(Infeasible(6, 5, REASON_FORBIDDEN)) == "t=5 in forbidden set {5} of C(6)"

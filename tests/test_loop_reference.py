@@ -28,7 +28,7 @@ from cyclic_chroma import (
     verify,
 )
 from cyclic_chroma.oracle import _walks
-from cyclic_chroma.verifier import _BLOCK, _SUB_BLOCK
+from cyclic_chroma.verifier import _BLOCK
 
 
 def assert_matches_reference(c):
@@ -113,7 +113,10 @@ def test_every_small_closed_walk():
                     assert verify(c, mode) == loop_reference.verify(c, mode), (c, mode)
 
 
-B, S = _BLOCK, _SUB_BLOCK  # verify reads blocks of B vertices, sub-blocks of S
+B = _BLOCK  # verify reads blocks of B vertices
+# verify once re-read a failing block in sub-blocks of S vertices; their
+# edges stay as cases
+S = 256
 K = B // 2 + 22  # (1, 2) * K is 44 edges longer than one block
 
 # closed walks longer than one block of verify; vertex 1 sees the last
@@ -166,6 +169,10 @@ LONG = 2 * B + S + 7  # two whole blocks and a short third one
         (S + 5, [S]),  # shorter than one block
         (S + 5, [S + 1, S + 5]),
         (S - 2, [S - 2]),  # shorter than one sub-block
+        (LONG, list(range(B + 1, 2 * B + 1))),  # every vertex of a block
+        # vertices 1 and 2 see the last color twice, and vertex 3 sees it
+        # then 1: not proper and, in interval mode, not interval in one block
+        (LONG, [1, 2]),
     ],
 )
 @pytest.mark.parametrize("t", [3, "long ascent"])

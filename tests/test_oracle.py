@@ -324,6 +324,18 @@ class TestSearchConfig:
     def test_int_limit_truncates(self):
         assert len(enumerate_colorings(6, 3, SearchConfig(limit=2))) == 2
 
+    @pytest.mark.parametrize("limit", [sys.maxsize, sys.maxsize + 1, 10**30])
+    def test_limit_past_any_list_truncates_nothing(self, limit):
+        # islice takes no stop past sys.maxsize, and no list is that long
+        got = enumerate_colorings(6, 3, SearchConfig(limit=limit))
+        assert got == enumerate_colorings(6, 3)
+
+    @pytest.mark.parametrize("config", ["interval", CYCLIC, {"limit": 2}, 2])
+    def test_config_must_be_a_search_config(self, config):
+        message = f"^config must be a SearchConfig, got {type(config).__name__}$"
+        with pytest.raises(ValueError, match=message):
+            enumerate_colorings(5, 3, config)
+
     def test_fixing_requires_cyclic(self):
         with pytest.raises(ValueError):
             SearchConfig(mode=INTERVAL, fix_first_color=True)
