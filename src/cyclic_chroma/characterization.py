@@ -121,10 +121,11 @@ class ThetaSet(_Record):
         self._build(n, (members,), provenance, members)
 
     def _build(self, n: int, parts: tuple, provenance: str, members) -> ThetaSet:
-        _set_n(self, n)
-        _set_parts(self, parts)
-        _set_provenance(self, provenance)
-        _set_members(self, members)
+        set_n, set_parts, set_provenance, set_members = self._setters
+        set_n(self, n)
+        set_parts(self, parts)
+        set_provenance(self, provenance)
+        set_members(self, members)
         return self
 
     @classmethod
@@ -136,7 +137,8 @@ class ThetaSet(_Record):
     @property
     def members(self) -> tuple[int, ...]:
         if self._members is None:
-            _set_members(self, tuple(chain.from_iterable(self._parts)))
+            set_members = self._setters[3]
+            set_members(self, tuple(chain.from_iterable(self._parts)))
         return self._members
 
     def __contains__(self, t: object) -> bool:
@@ -153,13 +155,6 @@ class ThetaSet(_Record):
 
     def __len__(self) -> int:
         return sum(map(len, self._parts))
-
-
-# each field's slot setter: it skips the frozen __setattr__ and the checks
-# of object.__setattr__, a third of the time of ThetaSet._of_ranges
-_set_n, _set_parts, _set_provenance, _set_members = (
-    ThetaSet.__dict__[name].__set__ for name in ThetaSet.__slots__
-)
 
 
 def _size(s: Set) -> int:

@@ -21,7 +21,9 @@ no builder can vouch for its output's walk.
 
 The package's record classes derive from ``_Record``: a frozen base with
 slotted fields, written out so that importing the package loads no class
-generator.
+generator.  Its ``__setattr__`` refuses every write, so a record sets its
+fields, and a coloring its memo, through the slots' own setters, which
+``_Record`` binds once per class as ``_setters``.
 """
 
 from __future__ import annotations
@@ -29,18 +31,10 @@ from __future__ import annotations
 import operator
 from math import log10
 
-__all__ = [
-    "CycleColoring",
-    "epsilon",
-    "rotate_edges",
-    "shift_colors",
-]
+__all__ = ["CycleColoring"]
 
 
 _RECORD_FIELDS = {"n", "t", "colors"}
-
-# a record's __init__ sets its fields with this, past the frozen __setattr__
-_assign = object.__setattr__
 
 
 def _require_int(value: object, label: str) -> None:
@@ -97,7 +91,8 @@ class _Record:
     """Base of the frozen record classes; the fields are the ``__slots__``.
 
     A subclass lists its fields in order in ``__slots__``, or in ``_names`` when
-    one is no slot, and sets each in its own ``__init__`` with ``_assign``.
+    one is no slot.  ``_setters`` holds each slot's own ``__set__``, in
+    ``__slots__`` order, and is how the subclass's ``__init__`` sets them.
     Setting or deleting a field raises AttributeError.  ``==`` holds between
     two records of the same class whose fields are equal, ``hash`` is that of
     the tuple of fields, and ``repr`` names every field.  Pickling and copying
@@ -111,6 +106,9 @@ class _Record:
         cls._names = getattr(cls, "_names", cls.__slots__)
         # one C-level call that reads every field into a tuple
         cls._fields = operator.attrgetter(*cls._names)
+        # getattr, not cls.__dict__: a subclass of a record has no slots of
+        # its own and sets its parent's
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -159,19 +157,21 @@ class CycleColoring(_Record):
             raise ValueError(f"expected {_show_int(n)} edge colors, got {len(colors)}")
         if min(colors) < 1 or max(colors) > t:
             raise ValueError(f"edge colors must lie in [1, {t}]")
-        _assign(self, "n", n)
-        _assign(self, "t", t)
-        _assign(self, "colors", colors)
-        _assign(self, "_walk", None)
+        set_n, set_t, set_colors, set_walk = self._setters
+        set_n(self, n)
+        set_t(self, t)
+        set_colors(self, colors)
+        set_walk(self, None)
 
     @classmethod
     def _trusted(cls, n: int, t: int, colors: tuple[int, ...]) -> CycleColoring:
         """Build with no check; the caller guarantees what the module doc names."""
         c = object.__new__(cls)
-        _assign(c, "n", n)
-        _assign(c, "t", t)
-        _assign(c, "colors", colors)
-        _assign(c, "_walk", None)
+        set_n, set_t, set_colors, set_walk = cls._setters
+        set_n(c, n)
+        set_t(c, t)
+        set_colors(c, colors)
+        set_walk(c, None)
         return c
 
     def to_record(self) -> dict:
@@ -196,38 +196,3 @@ class CycleColoring(_Record):
             _require_int(t, "'t'")
             raise ValueError("'colors' must be an array of integers")
         return cls(n, t, colors)
-
-
-def epsilon(k: int) -> int:
-    """1 if k is even, 0 if k is odd (defined for integers k >= 1)."""
-    if type(k) is not int:
-        _require_int(k, "'k'")
-    if k < 1:
-        raise ValueError(f"epsilon is defined for k >= 1, got {_show_int(k)}")
-    return 1 + k // 2 - (k + 1) // 2
-
-
-def rotate_edges(c: CycleColoring, offset: int) -> CycleColoring:
-    """Relabel edges so that the new edge 1 is the old edge offset+1, an int."""
-    _require_int(offset, "'offset'")
-    if not 0 <= offset < c.n:
-        raise ValueError(
-            f"rotation offset must lie in [0, {c.n - 1}], got {_show_int(offset)}"
-        )
-    if offset == 0:
-        return c
-    return CycleColoring._trusted(c.n, c.t, c.colors[offset:] + c.colors[:offset])
-
-
-def shift_colors(c: CycleColoring, delta: int) -> CycleColoring:
-    """Advance every color by delta around the color circle 1..t.
-
-    delta must be an int, as rotate_edges' offset must (ValueError
-    otherwise, bool included), so every color stays one.
-    """
-    _require_int(delta, "'delta'")
-    d = delta % c.t
-    if d == 0:
-        return c
-    colors = tuple((x - 1 + d) % c.t + 1 for x in c.colors)
-    return CycleColoring._trusted(c.n, c.t, colors)

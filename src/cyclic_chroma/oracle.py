@@ -34,7 +34,6 @@ from typing import Iterator, NamedTuple
 from .characterization import MATERIALIZE_CAP, PROVENANCE_SEARCH, ThetaSet
 from .model import (
     CycleColoring,
-    _assign,
     _check_n,
     _check_t,
     _Record,
@@ -117,9 +116,10 @@ class SearchConfig(_Record):
             raise ValueError(f"fix_first_color must be a bool, got {fix_first_color!r}")
         if fix_first_color and mode != CYCLIC:
             raise ValueError("fix_first_color is only sound in cyclic mode")
-        _assign(self, "mode", mode)
-        _assign(self, "limit", limit)
-        _assign(self, "fix_first_color", fix_first_color)
+        set_mode, set_limit, set_fix_first_color = self._setters
+        set_mode(self, mode)
+        set_limit(self, limit)
+        set_fix_first_color(self, fix_first_color)
 
 
 def _successor_table(t: int, mode: str) -> list[list[int]]:
@@ -295,6 +295,8 @@ class ProofDecomposition(_Record):
     * ``y``, the 0/1 profile of run-end colors zeta_1, eta_1, zeta_2, ...
       (0 for color 1, 1 for color t).
 
+    ``y`` and ``psi`` are stored as tuples, whatever sequence is given.
+
     The rest is read off these two: ``components`` lists each run's span
     and following gap, ``horizontal`` marks the auxiliary edges joining
     equal profile values, and ``m1``/``m2`` list the runs whose gap region
@@ -317,6 +319,7 @@ class ProofDecomposition(_Record):
         y: tuple[int, ...],
         psi: tuple[int, ...],
     ) -> None:
+        y, psi = tuple(y), tuple(psi)
         if connected:
             if m != 1 or y or psi:
                 raise ValueError("a connected decomposition has m = 1 and no y or psi")
@@ -336,14 +339,17 @@ class ProofDecomposition(_Record):
                 raise ValueError("every run size |H_q| must be >= 1")
             if min(psi[1::2]) < 3:
                 raise ValueError("every gap size |H'_q| must be >= 3")
-        _assign(self, "n", n)
-        _assign(self, "t", t)
-        _assign(self, "m", m)
-        _assign(self, "connected", connected)
-        _assign(self, "u_size", u_size)
-        _assign(self, "rotation", rotation)
-        _assign(self, "y", y)
-        _assign(self, "psi", psi)
+        set_n, set_t, set_m, set_connected, set_u, set_rotation, set_y, set_psi = (
+            self._setters
+        )
+        set_n(self, n)
+        set_t(self, t)
+        set_m(self, m)
+        set_connected(self, connected)
+        set_u(self, u_size)
+        set_rotation(self, rotation)
+        set_y(self, y)
+        set_psi(self, psi)
 
     def _runs(self) -> Iterator[tuple[int, int, int, int, int]]:
         """(q, zeta_q, eta_q, |H_q|, |H'_q|) per run, from psi in C-level passes."""

@@ -35,7 +35,7 @@ from itertools import compress, count, filterfalse
 from operator import sub
 from typing import NamedTuple
 
-from .model import CycleColoring, _assign, _Record
+from .model import CycleColoring, _Record
 
 __all__ = [
     "INTERVAL",
@@ -89,11 +89,14 @@ class VerificationReport(_Record):
         violations: tuple[Violation, ...],
         missing_colors: frozenset[int],
     ) -> None:
-        _assign(self, "proper", proper)
-        _assign(self, "surjective", surjective)
-        _assign(self, "mode_satisfied", mode_satisfied)
-        _assign(self, "violations", violations)
-        _assign(self, "missing_colors", missing_colors)
+        set_proper, set_surjective, set_satisfied, set_violations, set_missing = (
+            self._setters
+        )
+        set_proper(self, proper)
+        set_surjective(self, surjective)
+        set_satisfied(self, mode_satisfied)
+        set_violations(self, violations)
+        set_missing(self, missing_colors)
 
     def to_json_dict(self) -> dict:
         return {
@@ -191,7 +194,8 @@ def verify(c: CycleColoring, mode: str = CYCLIC) -> VerificationReport:
             else frozenset(filterfalse(seen.__contains__, range(1, t + 1)))
         )
     if not violations:
-        _assign(c, "_walk", (frozenset(taken), missing))
+        set_walk = c._setters[3]
+        set_walk(c, (frozenset(taken), missing))
     return VerificationReport(
         proper=proper,
         surjective=not missing,

@@ -21,7 +21,6 @@ from cyclic_chroma import (
     CycleColoring,
     VerificationReport,
     Violation,
-    rotate_edges,
 )
 
 
@@ -97,7 +96,7 @@ def decompose(c: CycleColoring) -> dict:
             "m2": frozenset(),
         }
     offset = starts[0]
-    colors = rotate_edges(c, offset).colors
+    colors = c.colors[offset:] + c.colors[:offset]
     kept = [x == 1 or x == t for x in colors]
     runs = []
     i = 0

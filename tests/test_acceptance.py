@@ -13,6 +13,7 @@ import pytest
 
 from cli_runner import CliRunner
 from naive_oracle import count_naive
+from symmetry import epsilon, rotate_edges, shift_colors
 
 from cyclic_chroma import (
     CYCLIC,
@@ -24,11 +25,8 @@ from cyclic_chroma import (
     contains,
     count_colorings,
     decompose,
-    epsilon,
     exists_search,
     forbidden_set,
-    rotate_edges,
-    shift_colors,
     tent,
     theta_by_search,
     theta_cyclic,

@@ -8,6 +8,7 @@ import numpy
 import pytest
 
 from counting_probe import CountingProbe, HashOnlyProbe
+from symmetry import epsilon
 
 from cyclic_chroma import (
     MATERIALIZE_CAP,
@@ -15,7 +16,6 @@ from cyclic_chroma import (
     bounds_cyc,
     chi_prime,
     contains,
-    epsilon,
     exists_search,
     forbidden_set,
     theta_cyclic,

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import loop_reference
+from symmetry import rotate_edges, shift_colors
 
 from cyclic_chroma import (
     CYCLIC,
@@ -23,8 +24,6 @@ from cyclic_chroma import (
     contains,
     decompose,
     enumerate_colorings,
-    rotate_edges,
-    shift_colors,
     verify,
 )
 from cyclic_chroma.oracle import _walks

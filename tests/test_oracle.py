@@ -6,6 +6,7 @@ import numpy
 import pytest
 
 from naive_oracle import count_naive, enumerate_naive, vertex_ok
+from symmetry import rotate_edges
 from walk_count import walk_counts
 
 from cyclic_chroma import (
@@ -21,7 +22,6 @@ from cyclic_chroma import (
     decompose,
     enumerate_colorings,
     exists_search,
-    rotate_edges,
     search_bound,
     theta_by_search,
     theta_interval,

@@ -183,6 +183,10 @@ def test_positional_and_keyword_construction():
 def test_construction_normalises_sequences_to_tuples():
     assert CycleColoring(3, 3, [1, 2, 3]).colors == (1, 2, 3)
     assert ThetaSet(6, [2, 3], "search").members == (2, 3)
+    listed = ProofDecomposition(6, 3, 2, False, 2, 0, [0, 1, 1, 0], [1, 4, 1, 4])
+    assert (listed.y, listed.psi) == ((0, 1, 1, 0), (1, 4, 1, 4))
+    assert listed == ProofDecomposition(*DECOMPOSITION_ARGS)
+    assert hash(listed) == hash(ProofDecomposition(*DECOMPOSITION_ARGS))
 
 
 def test_search_config_defaults():

@@ -22,8 +22,6 @@ def test_no_assert_statements():
 TRUSTED_CALLERS = {
     ("characterization.py", "zigzag_staircase"),
     ("characterization.py", "tent"),
-    ("model.py", "rotate_edges"),
-    ("model.py", "shift_colors"),
     ("oracle.py", "enumerate_colorings"),
 }
 
@@ -64,6 +62,25 @@ def test_unchecked_feasible_sets_come_from_the_closed_forms():
     }
 
 
+def test_records_set_fields_only_through_the_slot_setters():
+    # _Record binds each slot's own __set__ as _setters; object.__setattr__,
+    # or a name for it, would be a second way past the frozen __setattr__
+    found = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Name) and node.id == "_assign"
+        or isinstance(node, ast.Attribute)
+        and (
+            node.attr == "_assign"
+            or node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "object"
+        )
+    ]
+    assert found == []
+
+
 LIBRARY_MODULES = ("model", "characterization", "verifier", "oracle")
 
 
@@ -95,6 +112,27 @@ def test_each_public_name_is_listed_once_in_its_own_module():
     assert cyclic_chroma.__all__ == listed
 
 
+# the public surface, pinned so that adding or removing a name is a
+# deliberate edit here
+PUBLIC_NAMES = [
+    "CycleColoring",
+    "MATERIALIZE_CAP", "ThetaSet", "chi_prime", "forbidden_set", "theta_cyclic",
+    "theta_interval", "contains", "bounds_cyc", "REASON_RANGE", "REASON_FORBIDDEN",
+    "REASON_PATTERN", "Infeasible", "zigzag_staircase", "tent", "construct",
+    "INTERVAL", "CYCLIC", "NOT_PROPER", "NOT_INTERVAL", "NOT_CYCLIC_INTERVAL",
+    "Violation", "VerificationReport", "verify",
+    "DEFAULT_MAX_N", "MAX_N_ENV_VAR", "SearchBoundExceeded", "SearchConfig",
+    "search_bound", "exists_search", "enumerate_colorings", "count_colorings",
+    "theta_by_search", "ComponentSpan", "ProofDecomposition", "decompose",
+]
+
+
+def test_the_public_names_are_pinned():
+    import cyclic_chroma
+
+    assert cyclic_chroma.__all__ == PUBLIC_NAMES
+
+
 def test_no_dataclasses_import():
     # the record classes derive from model._Record; the class generator
     # would cost every process its import and a class build per record
@@ -111,11 +149,15 @@ def test_no_dataclasses_import():
 
 def test_the_cli_leaves_dataclasses_unloaded():
     # runs the CLI as `python -m cyclic_chroma.cli` would, and at exit
-    # writes whether the process loaded the class generator or click
+    # writes whether the process loaded the class generator or click, then
+    # the package's modules it loaded; the CLI module itself runs as
+    # __main__, so a command loads exactly the package and four modules
     probe = (
         "import atexit, runpy, sys\n"
         "atexit.register(lambda: print('dataclasses' in sys.modules,"
-        " 'click' in sys.modules, file=sys.stderr))\n"
+        " 'click' in sys.modules,"
+        " *sorted(m for m in sys.modules if m.startswith('cyclic_chroma')),"
+        " file=sys.stderr))\n"
         "runpy.run_module('cyclic_chroma.cli', run_name='__main__', alter_sys=True)\n"
     )
     proc = subprocess.run(
@@ -124,4 +166,12 @@ def test_the_cli_leaves_dataclasses_unloaded():
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines()[-1] == "False False"
+    assert proc.stderr.splitlines()[-1].split() == [
+        "False",
+        "False",
+        "cyclic_chroma",
+        "cyclic_chroma.characterization",
+        "cyclic_chroma.model",
+        "cyclic_chroma.oracle",
+        "cyclic_chroma.verifier",
+    ]

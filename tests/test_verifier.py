@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import loop_reference
 import naive_oracle
 from counting_probe import HashCountingInt
+from symmetry import rotate_edges, shift_colors
 
 import cyclic_chroma.verifier
 from cyclic_chroma import (
@@ -22,8 +23,6 @@ from cyclic_chroma import (
     construct,
     decompose,
     enumerate_colorings,
-    shift_colors,
-    rotate_edges,
     tent,
     verify,
     zigzag_staircase,
