@@ -118,21 +118,23 @@ class ThetaSet(_Record):
             raise ValueError("members must be strictly increasing")
         if members and not (2 <= members[0] and members[-1] <= n):
             raise ValueError(f"members must lie in [2, {_show_int(n)}]")
-        self._build(n, (members,), provenance, members)
-
-    def _build(self, n: int, parts: tuple, provenance: str, members) -> ThetaSet:
         set_n, set_parts, set_provenance, set_members = self._setters
         set_n(self, n)
-        set_parts(self, parts)
+        set_parts(self, (members,))
         set_provenance(self, provenance)
         set_members(self, members)
-        return self
 
     @classmethod
     def _of_ranges(cls, n: int, *parts: range) -> ThetaSet:
         """The closed-form set that is the union of ascending ranges; checks
         nothing, since its callers pass ranges in [2, n] as _split makes them."""
-        return object.__new__(cls)._build(n, parts, PROVENANCE_FORMULA, None)
+        s = object.__new__(cls)
+        set_n, set_parts, set_provenance, set_members = cls._setters
+        set_n(s, n)
+        set_parts(s, parts)
+        set_provenance(s, PROVENANCE_FORMULA)
+        set_members(s, None)
+        return s
 
     @property
     def members(self) -> tuple[int, ...]:

@@ -417,6 +417,8 @@ class TestOracle:
         data = json.loads(proc.stdout)
         assert data.get("agree") is agree
         assert {r["exists"] for r in data["rows"]} == {exists}
+        if agree is None:  # the one row, byte for byte
+            assert proc.stdout == '{"n":999,"mode":"cyclic","rows":[{"t":4,"exists":false}]}\n'
 
 
 class TestTable:
@@ -588,8 +590,9 @@ class TestDecompose:
 )
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 def test_decompose_golden(runner, case, as_json):
-    # tests/data/decompose holds the exact bytes of each report; the CI
-    # workflow compares the same files with the output of real processes
+    # tests/data/decompose holds the exact bytes of each report;
+    # tests/test_processes.py compares the same files with the output of
+    # real processes
     if case.startswith("make-"):
         made = runner.invoke(main, case.split("-"))
         assert made.exit_code == 0
@@ -627,8 +630,8 @@ def case_name(n: int, t: int, edge: int, color: int) -> str:
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 def test_check_golden(runner, case, as_json):
     # tests/data/check holds the exact bytes of check's report on `make N T`
-    # with one edge recolored; the CI workflow compares the same files with
-    # the output of real processes
+    # with one edge recolored; tests/test_processes.py compares the same
+    # files with the output of real processes
     n, t, edge, color = case
     made = runner.invoke(main, ["make", str(n), str(t)])
     assert made.exit_code == 0
@@ -641,7 +644,7 @@ def test_check_golden(runner, case, as_json):
 
 
 def test_check_goldens_are_the_listed_cases():
-    # the CI step reads its cases from the golden file names
+    # tests/test_processes.py reads its cases from the golden file names
     names = {p.name for p in CHECK_GOLDEN.iterdir()}
     listed = {case_name(*c) + ext for c in CHECK_CASES for ext in (".txt", ".json")}
     assert names == listed

@@ -1,11 +1,13 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).parents[1] / "src" / "cyclic_chroma"
+WORKFLOW = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
 
 
 def test_no_assert_statements():
@@ -175,3 +177,10 @@ def test_the_cli_leaves_dataclasses_unloaded():
         "cyclic_chroma.oracle",
         "cyclic_chroma.verifier",
     ]
+
+
+def test_the_workflow_starts_no_cli_of_its_own():
+    # checks of the CLI as a real process live in tests/test_processes.py,
+    # which the workflow's tier-1 step runs; a plain text search, since no
+    # YAML parser is a test dependency
+    assert re.findall(r"cyclic[_-]chroma", WORKFLOW.read_text()) == []
