@@ -210,12 +210,15 @@ def oracle(
         raise argparse.ArgumentError(None, "need 1 <= tmin <= tmax <= N")
     rows: list[dict] = []
     for t in range(tmin, tmax + 1):
-        # exists by search even with --count, whose count is a formula, so
-        # --assert-theorem always holds the theorem to an exhaustive search
+        # the count first, so an n above its cap is refused before any
+        # search; exists by search even with --count, whose count is a
+        # formula, so --assert-theorem always holds the theorem to a search
+        if count:
+            number = count_colorings(n, t, mode)
+            _require_printable(number, f"the count for t={t}")
         row: dict = {"t": t, "exists": exists_search(n, t, mode)}
         if count:
-            row["count"] = number = count_colorings(n, t, mode)
-            _require_printable(number, f"the count for t={t}")
+            row["count"] = number
         rows.append(row)
     agree = None
     if assert_theorem:

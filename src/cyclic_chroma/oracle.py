@@ -11,15 +11,15 @@ color's parity, so no closed walk of odd length exists.  Otherwise branches
 die as soon as the unused-color count exceeds the edges left; the default
 bound n <= 14 stays well under a second per query, but a raised bound can
 still meet an exponential tree (an even n with a tent's t near n/2).  The
-walk is one loop over an explicit stack holding O(n) state, so a raised
-bound is capped at MATERIALIZE_CAP.
+walk is one loop with one fixed slot per depth, holding O(n + t) state, so
+a raised bound is capped at MATERIALIZE_CAP.
 
 ``count_colorings`` runs no search.  A valid coloring is a closed n-step
 walk that visits every vertex of the color graph, so the count is a sum of
 binomials, taken in one pass over j in [0, n/2] with one running binomial:
-O(n^2) bit operations and O(n) bits of state for any t (≈1.5 s at n = 10^5
+O(n^2) bit operations and O(n) bits of state for any t (≈1 s at n = 10^5
 on a 2-vCPU x86 VM, Python 3.11).  It answers under the same search bound
-as the searches.
+as the searches, and refuses an n above COUNT_CAP = 10^5 whatever the bound.
 """
 
 from __future__ import annotations
@@ -59,6 +59,10 @@ __all__ = [
 
 DEFAULT_MAX_N = 14
 MAX_N_ENV_VAR = "CYCLIC_CHROMA_MAX_N"
+# count_colorings refuses a larger n whatever the search bound: its pass
+# costs O(n^2) bit operations, ≈1 s at the cap and ≈135 s at MATERIALIZE_CAP
+# on a 2-vCPU x86 VM
+COUNT_CAP = 10**5
 
 _PLAIN_INT = re.compile(r"^(0|[1-9][0-9]*)$")
 
@@ -148,8 +152,10 @@ def _check_search_args(n: int, t: int) -> None:
 def _walks(n: int, t: int, cfg: SearchConfig) -> Iterator[tuple[int, ...]]:
     """Yield valid color sequences in lexicographic order.
 
-    One loop, no frame per edge: stack[k] iterates the colors left to try on
-    edge k + 1, and ``missing`` counts the colors seq does not use yet.
+    One loop, no frame per edge: the walk stands at depth k, tries[k]
+    iterates the colors left to try on edge k + 1, and ``missing`` counts
+    the colors seq does not use yet.  Each depth has one fixed slot in
+    tries and in seq, so the walk holds O(n + t) state.
 
     Parity rule: when every allowed step is odd (interval mode, t <= 2, or
     even t in cyclic mode), each edge flips the parity of the color, so a
@@ -161,24 +167,31 @@ def _walks(n: int, t: int, cfg: SearchConfig) -> Iterator[tuple[int, ...]]:
     seq = [0] * n
     seen = [0] * (t + 1)
     missing = t
-    stack = [iter((1,) if cfg.fix_first_color else range(1, t + 1))]
-    while stack:
-        k = len(stack) - 1
+    tries = [None] * n
+    tries[0] = iter((1,) if cfg.fix_first_color else range(1, t + 1))
+    last = n - 1
+    k = 0
+    while k >= 0:
         old = seq[k]
         if old:
-            seen[old] -= 1
-            missing += seen[old] == 0
-        c = seq[k] = next(stack[k], 0)
+            s = seen[old] - 1
+            seen[old] = s
+            if not s:
+                missing += 1
+        c = seq[k] = next(tries[k], 0)
         if not c:
-            stack.pop()
+            k -= 1
             continue
-        seen[c] += 1
-        missing -= seen[c] == 1
-        if k + 1 == n:
-            if missing == 0 and seq[0] in succ[c]:
+        s = seen[c]
+        seen[c] = s + 1
+        if not s:
+            missing -= 1
+        if k == last:
+            if not missing and seq[0] in succ[c]:
                 yield tuple(seq)
         elif missing < n - k:
-            stack.append(iter(succ[c]))
+            k += 1
+            tries[k] = iter(succ[c])
 
 
 def exists_search(
@@ -216,6 +229,8 @@ def count_colorings(n: int, t: int, mode: str = CYCLIC) -> int:
     """
     _check_mode(mode)
     _check_search_args(n, t)
+    if n > COUNT_CAP:
+        raise ValueError(f"refusing to count the colorings for n={n} (cap {COUNT_CAP})")
     cyclic = mode == CYCLIC and t >= 3
     widths = (t - 1, t - 2) if cyclic else (t, t - 1, t - 2)
     # P(w) = 0 when P_w has no edge (w <= 1), and on any path for odd n

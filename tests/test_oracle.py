@@ -24,9 +24,11 @@ from cyclic_chroma import (
     exists_search,
     search_bound,
     theta_by_search,
+    theta_cyclic,
     theta_interval,
 )
-from cyclic_chroma.oracle import _successor_table, _walks
+from cyclic_chroma import oracle
+from cyclic_chroma.oracle import COUNT_CAP, _successor_table, _walks
 from cyclic_chroma.verifier import _steps
 
 
@@ -149,6 +151,21 @@ class TestSearchBound:
         for mode in (CYCLIC, INTERVAL):
             assert count_colorings(n, 2, mode) == 2, mode
             assert len(enumerate_colorings(n, 2, SearchConfig(mode=mode))) == 2, mode
+        # ≈0.07 s each on a 2-vCPU x86 VM; a cost per node that grows with
+        # the depth would keep these from finishing
+        monkeypatch.setenv("CYCLIC_CHROMA_MAX_N", str(2 * 10**5))
+        for t in (3, 4):
+            assert exists_search(2 * 10**5, t), t
+
+    @pytest.mark.parametrize("n", [COUNT_CAP + 1, MATERIALIZE_CAP])
+    def test_count_above_its_cap_refused(self, monkeypatch, n):
+        # whatever the search bound: the count costs O(n^2) bit operations
+        monkeypatch.setenv("CYCLIC_CHROMA_MAX_N", str(MATERIALIZE_CAP))
+        with pytest.raises(ValueError) as info:
+            count_colorings(n, 2)
+        assert str(info.value) == (
+            f"refusing to count the colorings for n={n} (cap {COUNT_CAP})"
+        )
 
     def test_env_rejects_junk(self, monkeypatch):
         monkeypatch.setenv("CYCLIC_CHROMA_MAX_N", "012")
@@ -268,6 +285,42 @@ class TestAgainstWalkCount:
         assert (count > 0) == contains(n, t)
 
 
+# the nodes the walk extends (one per successor list it iterates) for
+# t = 1..14 at n = 14, full enumeration; frozen, so that a change to the
+# tree or to its prune shows here even when the colorings stay the same
+NODES_14 = {
+    CYCLIC: [1, 26, 24573, 32756, 39995, 42210, 37009, 28328, 18297, 11210,
+             5423, 2748, 871, 350],
+    INTERVAL: [1, 26, 633, 3182, 7433, 10644, 10937, 9336, 6535, 4320, 2273,
+               1240, 453, 194],
+}
+
+
+class TestWalkTree:
+    @pytest.mark.parametrize("mode", [CYCLIC, INTERVAL])
+    def test_the_walk_extends_a_frozen_number_of_nodes(self, monkeypatch, mode):
+        extended = 0
+
+        class Counted(list):
+            def __iter__(self):
+                nonlocal extended
+                extended += 1
+                return super().__iter__()
+
+        table = oracle._successor_table
+        monkeypatch.setattr(
+            oracle, "_successor_table", lambda t, m: [Counted(s) for s in table(t, m)]
+        )
+        counts = walk_counts(14, mode)
+        got = []
+        for t in range(1, 15):
+            extended = 0
+            found = sum(1 for _ in _walks(14, t, SearchConfig(mode=mode)))
+            assert found == counts[t], t
+            got.append(extended)
+        assert got == NODES_14[mode]
+
+
 class TestWalkCleanup:
     def test_abandoned_walks_leave_no_cycles(self):
         gc.collect()
@@ -362,6 +415,12 @@ class TestThetaBySearch:
 
     def test_provenance(self):
         assert theta_by_search(5, CYCLIC).provenance == "search"
+
+    def test_equals_the_closed_forms_past_the_default_bound(self, monkeypatch):
+        monkeypatch.setenv("CYCLIC_CHROMA_MAX_N", "20")
+        for n in range(3, 21):
+            assert theta_by_search(n, CYCLIC).members == theta_cyclic(n).members, n
+            assert theta_by_search(n, INTERVAL).members == theta_interval(n).members, n
 
 
 class TestDecompose:

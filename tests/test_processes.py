@@ -186,13 +186,22 @@ def test_the_closed_forms_agree_with_the_search():
 
 
 def test_a_deep_search():
-    # the walk keeps an explicit stack, so a bound far past the interpreter's
+    # the walk keeps one slot per depth, so a bound far past the interpreter's
     # recursion limit is answered; exists is searched (about 0.15 s) and the
-    # count summed in closed form (about 1.5 s on a 2-vCPU x86 VM, O(n^2) bit
-    # operations for any t)
+    # count summed in closed form at its cap, n = 10^5 (about 1 s on a 2-vCPU
+    # x86 VM, O(n^2) bit operations for any t)
     code, out, err = run("oracle", 100000, "--tmin", 2, "--tmax", 2, "--count",
-                         env={"CYCLIC_CHROMA_MAX_N": "100000"})
+                         env={"CYCLIC_CHROMA_MAX_N": "100000"}, timeout=30)
     assert (code, out) == (0, b"t=2 yes count=2\n"), err
+
+
+@pytest.mark.parametrize("n", [100001, 1000000])
+def test_a_count_past_its_cap(n):
+    # refused before any search, whatever the search bound
+    code, out, err = run("oracle", n, "--tmin", 3, "--tmax", 3, "--count",
+                         env={"CYCLIC_CHROMA_MAX_N": "1000000"}, timeout=10)
+    message = f"error: refusing to count the colorings for n={n} (cap 100000)\n"
+    assert (code, out, err) == (2, b"", message.encode())
 
 
 def test_a_count_past_the_search_reach():
