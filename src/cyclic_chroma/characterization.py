@@ -21,7 +21,6 @@ zigzag-staircase when n - t is even and the tent otherwise.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left
 from collections.abc import Set
 from itertools import chain
 from math import trunc
@@ -99,7 +98,7 @@ class ThetaSet(_Record):
     and every member (plain ints, no bool, as in CycleColoring) and keeps
     the checked tuple as its one part and its ``members``.  ``len``, ``bool``
     and iteration work from the parts; ``in`` maps a non-int probe to the
-    int it equals in O(1), then takes O(1) per range or bisects the tuple.
+    int it equals in O(1), then takes O(1) per range or scans the tuple.
     ``==`` and ``hash`` are the record's, over n, ``members`` and
     provenance, so they build ``members`` of a closed form that has not
     yet read it: O(|members|) on the first comparison.
@@ -146,11 +145,7 @@ class ThetaSet(_Record):
     def __contains__(self, t: object) -> bool:
         if type(t) is not int:
             t = _int_between(t, 2, self.n)
-        first = self._parts[0]
-        if type(first) is tuple:  # a hand-built set's one tuple
-            i = bisect_left(first, t)
-            return i < len(first) and first[i] == t
-        return any(t in r for r in self._parts)
+        return any(t in part for part in self._parts)
 
     def __iter__(self):
         return chain.from_iterable(self._parts)

@@ -30,8 +30,8 @@ from .model import CycleColoring, _check_n
 from .oracle import (
     _PLAIN_INT,
     SearchBoundExceeded,
-    _decompose_verified,
     count_colorings,
+    decompose as decompose_coloring,
     exists_search,
     theta_by_search,
 )
@@ -293,7 +293,7 @@ def decompose(src: str | None, as_json: bool) -> int:
             print("not a valid cyclic-mode coloring:")
             _echo_violations(report)
         return 1
-    d = _decompose_verified(coloring)
+    d = decompose_coloring(coloring)
     if as_json:
         print(_dumps(d.to_json_dict()))
         return 0

@@ -3,8 +3,10 @@
 A cycle with n edges uses 1-based circular indexing: edge i joins vertices
 i and i+1 (vertex n+1 wraps to vertex 1), so vertex i is incident to edges
 i-1 and i (edge 0 wraps to edge n).  Colors are integers in [1, t].
-All values are immutable and every operation is pure; a coloring's one
-private memo, ``_walk``, is no field and changes no result.
+All values are immutable and every operation is pure.  The package's two
+private memos, a coloring's ``_walk`` and a closed-form ``ThetaSet``'s
+``_members``, are no fields and change no result; each is written with
+one value, so two threads that fill one at once store equal values.
 
 The public ``CycleColoring(n, t, colors)`` constructor is the one strict
 boundary: n, t and every color must be ints (int subclasses such as an

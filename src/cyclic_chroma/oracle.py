@@ -27,7 +27,7 @@ from __future__ import annotations
 import os
 import re
 import sys
-from itertools import accumulate, compress, count, cycle, islice, repeat
+from itertools import accumulate, compress, count, cycle, islice, repeat, starmap
 from operator import add, eq, sub
 from typing import Iterator, NamedTuple
 
@@ -40,7 +40,7 @@ from .model import (
     _require_int,
     _show_int,
 )
-from .verifier import CYCLIC, _check_mode, _new_tuple, _steps, verify
+from .verifier import CYCLIC, _check_mode, _steps, verify
 
 __all__ = [
     "DEFAULT_MAX_N",
@@ -378,7 +378,7 @@ class ProofDecomposition(_Record):
     @property
     def components(self) -> tuple[ComponentSpan, ...]:
         """Each run's span and following gap, in order; O(m) per access."""
-        return tuple(map(_new_tuple, repeat(ComponentSpan), self._runs()))
+        return tuple(starmap(ComponentSpan, self._runs()))
 
     @property
     def horizontal(self) -> tuple[bool, ...]:
@@ -445,11 +445,6 @@ def decompose(c: CycleColoring) -> ProofDecomposition:
     """
     if not verify(c, CYCLIC).mode_satisfied:
         raise ValueError("decompose requires a valid cyclic-mode coloring")
-    return _decompose_verified(c)
-
-
-def _decompose_verified(c: CycleColoring) -> ProofDecomposition:
-    """decompose(c) for a coloring the caller has verified in cyclic mode."""
     n, t, colors = c.n, c.t, c.colors
     # one byte per edge: 1 for color 1, 2 for color t, 0 for an interior color
     marks = bytes(map({1: 1, t: 2}.get, colors, repeat(0)))

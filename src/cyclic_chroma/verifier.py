@@ -58,10 +58,6 @@ NOT_CYCLIC_INTERVAL = "not-cyclic-interval"
 
 # Vertices per block in verify: the unit in which violations are searched.
 _BLOCK = 1024
-# _new_tuple(cls, fields) builds a NamedTuple as ``cls._make(fields)`` does,
-# without a Python-level call per object; building many violations or runs
-# is dominated by that call otherwise.
-_new_tuple = tuple.__new__
 
 
 class Violation(NamedTuple):
@@ -177,7 +173,7 @@ def verify(c: CycleColoring, mode: str = CYCLIC) -> VerificationReport:
         for i in compress(count(lo), map(bad.__contains__, map(sub, block, before))):
             x, y = colors[i - 1], colors[i]
             why = NOT_PROPER if x == y else reason
-            violations.append(_new_tuple(Violation, (i + 1, (x, y), why)))
+            violations.append(Violation(i + 1, (x, y), why))
     # the wrap steps t - 1 and 1 - t taken, none in interval mode or for
     # t <= 2: one direction winds round C_t, none stays on the path 1..t
     wraps = taken - _UNIT_STEPS

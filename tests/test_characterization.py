@@ -364,6 +364,7 @@ class TestThetaSet:
             ints = range(-2, n + 3)
             expected = list(map(ref.__contains__, ints))
             assert list(map(formula.__contains__, ints)) == expected, n
+            assert list(map(by_hand.__contains__, ints)) == expected, n
             for x in NON_INT_PROBES:
                 assert (x in formula) == (x in by_hand), (n, x)
 

@@ -135,6 +135,22 @@ def test_the_public_names_are_pinned():
     assert cyclic_chroma.__all__ == PUBLIC_NAMES
 
 
+def test_the_cli_imports_only_the_pinned_private_names():
+    # a private library name the CLI imports is a second way into the
+    # library beside its public one, so adding one is a deliberate edit here
+    path = SRC / "cli.py"
+    found = {
+        alias.name
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and node.level == 1
+        and node.module in LIBRARY_MODULES
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert found == {"_PLAIN_INT", "_check_n"}
+
+
 def test_no_dataclasses_import():
     # the record classes derive from model._Record; the class generator
     # would cost every process its import and a class build per record

@@ -338,6 +338,20 @@ def test_first_verify_reads_every_vertex_and_a_second_none(reads):
                 assert len(reads) >= c.n, (builder, mode)
 
 
+def test_decompose_reads_a_verified_coloring_once(reads):
+    # decompose verifies in cyclic mode first; after the caller's own
+    # verify that check reads no vertex, so the CLI may call both
+    c = construct(3_000, 1_001)
+    assert verify(c, CYCLIC).mode_satisfied
+    reads.clear()
+    decompose(c)
+    assert len(reads) == 0
+    fresh = construct(3_000, 1_001)
+    reads.clear()
+    decompose(fresh)
+    assert len(reads) == fresh.n
+
+
 class CountingColors(tuple):
     """A tuple of colors that counts the ``in`` tests made on it."""
 
