@@ -11,8 +11,10 @@ color's parity, so no closed walk of odd length exists.  Otherwise branches
 die as soon as the unused-color count exceeds the edges left; the default
 bound n <= 14 stays well under a second per query, but a raised bound can
 still meet an exponential tree (an even n with a tent's t near n/2).  The
-walk is one loop with one fixed slot per depth, holding O(n + t) state, so
-a raised bound is capped at MATERIALIZE_CAP.
+walk is an outer loop over the first color and one inner loop over the
+nodes, with one fixed slot per depth for the color and one for the sibling
+still to try, and no iterator per node.  It holds O(n + t) state, so a
+raised bound is capped at MATERIALIZE_CAP.
 
 ``count_colorings`` runs no search.  A valid coloring is a closed n-step
 walk that visits every vertex of the color graph, so the count is a sum of
@@ -152,10 +154,15 @@ def _check_search_args(n: int, t: int) -> None:
 def _walks(n: int, t: int, cfg: SearchConfig) -> Iterator[tuple[int, ...]]:
     """Yield valid color sequences in lexicographic order.
 
-    One loop, no frame per edge: the walk stands at depth k, tries[k]
-    iterates the colors left to try on edge k + 1, and ``missing`` counts
-    the colors seq does not use yet.  Each depth has one fixed slot in
-    tries and in seq, so the walk holds O(n + t) state.
+    An outer loop over the first color, then one loop with no frame per
+    edge: the walk stands at depth k with the color c to try on edge
+    k + 1, and left[k] holds the one color it still has to try there (a
+    color has at most two successors), or 0.  ``missing`` counts the colors
+    seq does not use yet.  Each depth has one fixed slot in seq and in
+    left, so the walk holds O(n + t) state and creates no iterator per
+    node.  The last edge is decided at depth n - 2: each successor of
+    seq[n - 2] that is also a successor of the first color, and that
+    leaves no color missing, closes a coloring.
 
     Parity rule: when every allowed step is odd (interval mode, t <= 2, or
     even t in cyclic mode), each edge flips the parity of the color, so a
@@ -164,34 +171,51 @@ def _walks(n: int, t: int, cfg: SearchConfig) -> Iterator[tuple[int, ...]]:
     if n % 2 and all(d % 2 for d in _steps(t, cfg.mode)):
         return
     succ = _successor_table(t, cfg.mode)
+    # each list becomes a pair: the first successor, the second or 0
+    for s in succ:
+        s += (0, 0)[len(s):]
     seq = [0] * n
     seen = [0] * (t + 1)
-    missing = t
-    tries = [None] * n
-    tries[0] = iter((1,) if cfg.fix_first_color else range(1, t + 1))
-    last = n - 1
-    k = 0
-    while k >= 0:
-        old = seq[k]
-        if old:
-            s = seen[old] - 1
-            seen[old] = s
+    left = [0] * n
+    end = n - 2
+    for first in (1,) if cfg.fix_first_color else range(1, t + 1):
+        seq[0] = first
+        seen[first] = 1
+        missing = t - 1
+        closing = succ[first]
+        k = 1
+        c, left[1] = closing
+        while k:
+            if c:
+                seq[k] = c
+                s = seen[c]
+                seen[c] = s + 1
+                if not s:
+                    missing -= 1
+                if missing < n - k:
+                    if k < end:
+                        k += 1
+                        c, left[k] = succ[c]
+                        continue
+                    # c has a successor, d; e may be the padding 0
+                    d, e = succ[c]
+                    if d in closing and not (missing and seen[d]):
+                        seq[-1] = d
+                        yield tuple(seq)
+                    if e and e in closing and not (missing and seen[e]):
+                        seq[-1] = e
+                        yield tuple(seq)
+            else:
+                # depth k is done: back to its parent, which gives up its
+                # color below (the first color too, when k reaches 0)
+                k -= 1
+                c = seq[k]
+            s = seen[c] - 1
+            seen[c] = s
             if not s:
                 missing += 1
-        c = seq[k] = next(tries[k], 0)
-        if not c:
-            k -= 1
-            continue
-        s = seen[c]
-        seen[c] = s + 1
-        if not s:
-            missing -= 1
-        if k == last:
-            if not missing and seq[0] in succ[c]:
-                yield tuple(seq)
-        elif missing < n - k:
-            k += 1
-            tries[k] = iter(succ[c])
+            c = left[k]
+            left[k] = 0
 
 
 def exists_search(

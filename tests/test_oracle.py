@@ -26,6 +26,7 @@ from cyclic_chroma import (
     theta_by_search,
     theta_cyclic,
     theta_interval,
+    verify,
 )
 from cyclic_chroma import oracle
 from cyclic_chroma.oracle import COUNT_CAP, _successor_table, _walks
@@ -151,11 +152,21 @@ class TestSearchBound:
         for mode in (CYCLIC, INTERVAL):
             assert count_colorings(n, 2, mode) == 2, mode
             assert len(enumerate_colorings(n, 2, SearchConfig(mode=mode))) == 2, mode
-        # ≈0.07 s each on a 2-vCPU x86 VM; a cost per node that grows with
+        # ≈0.03 s each on a 2-vCPU x86 VM; a cost per node that grows with
         # the depth would keep these from finishing
-        monkeypatch.setenv("CYCLIC_CHROMA_MAX_N", str(2 * 10**5))
+        n = 2 * 10**5
+        monkeypatch.setenv("CYCLIC_CHROMA_MAX_N", str(n))
         for t in (3, 4):
-            assert exists_search(2 * 10**5, t), t
+            assert exists_search(n, t), t
+        assert exists_search(n, 3, INTERVAL)
+        assert exists_search(n, 3, CYCLIC, True)
+        # past the first witness: the walk backs up from the last edge
+        found = enumerate_colorings(n, 3, SearchConfig(limit=3))
+        assert len(found) == 3
+        for c in found:
+            assert verify(c).mode_satisfied
+        colors = [c.colors for c in found]
+        assert colors[0] < colors[1] < colors[2]
 
     @pytest.mark.parametrize("n", [COUNT_CAP + 1, MATERIALIZE_CAP])
     def test_count_above_its_cap_refused(self, monkeypatch, n):
@@ -285,9 +296,10 @@ class TestAgainstWalkCount:
         assert (count > 0) == contains(n, t)
 
 
-# the nodes the walk extends (one per successor list it iterates) for
-# t = 1..14 at n = 14, full enumeration; frozen, so that a change to the
-# tree or to its prune shows here even when the colorings stay the same
+# the nodes the walk extends (one per successor pair it unpacks, the
+# last edge's choice at depth n - 2 included) for t = 1..14 at n = 14, full
+# enumeration; frozen, so that a change to the tree or to its prune shows
+# here even when the colorings stay the same
 NODES_14 = {
     CYCLIC: [1, 26, 24573, 32756, 39995, 42210, 37009, 28328, 18297, 11210,
              5423, 2748, 871, 350],
@@ -301,6 +313,8 @@ class TestWalkTree:
     def test_the_walk_extends_a_frozen_number_of_nodes(self, monkeypatch, mode):
         extended = 0
 
+        # a plain list unpacks without a call to __iter__, a subclass
+        # through it: the walk unpacks succ[c] once per node it extends
         class Counted(list):
             def __iter__(self):
                 nonlocal extended

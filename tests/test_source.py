@@ -195,6 +195,25 @@ def test_the_cli_leaves_dataclasses_unloaded():
     ]
 
 
+def test_the_walk_makes_no_iterator_per_node():
+    # the search's cost is its cost per node: each node reads its
+    # successors from a pair and keeps the one left to try in an int, so
+    # the loop over the nodes creates no iterator and advances none
+    tree = ast.parse((SRC / "oracle.py").read_text())
+    walks = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_walks"
+    )
+    loops = [node for node in ast.walk(walks) if isinstance(node, ast.While)]
+    assert len(loops) == 1
+    called = {
+        node.func.id
+        for node in ast.walk(loops[0])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    assert called.isdisjoint({"iter", "next"}), called
+
+
 def test_the_workflow_starts_no_cli_of_its_own():
     # checks of the CLI as a real process live in tests/test_processes.py,
     # which the workflow's tier-1 step runs; a plain text search, since no
