@@ -93,15 +93,19 @@ def _int_between(x: object, lo: int, hi: int) -> int:
 class ThetaSet(_Record):
     """A finite set of feasible color counts for one cycle size.
 
-    A closed form builds one in O(1) from its ranges, unchecked; ``members``
-    is built on its first read and then kept.  One built by hand checks n
-    and every member (plain ints, no bool, as in CycleColoring) and keeps
-    the checked tuple as its one part and its ``members``.  ``len``, ``bool``
-    and iteration work from the parts; ``in`` maps a non-int probe to the
-    int it equals in O(1), then takes O(1) per range or scans the tuple.
-    ``==`` and ``hash`` are the record's, over n, ``members`` and
-    provenance, so they build ``members`` of a closed form that has not
-    yet read it: O(|members|) on the first comparison.
+    Every set holds its members as ascending ranges, its parts.  A closed
+    form builds one in O(1) from its one or two ranges, unchecked;
+    ``members`` is built on its first read and then kept.  One built by
+    hand checks n and every member (plain ints, no bool, as in
+    CycleColoring) in O(|members|), keeps the checked tuple as its
+    ``members``, and splits it into maximal runs of one step: one part for
+    a progression, about |members|/2 at worst (2, 3, 5, 8, 13 holds 3).
+    Pickling and copying rebuild a set by hand, so a copy of a closed form
+    holds ranges too.  ``len``, ``bool``, iteration and ``in`` work from
+    the parts; ``in`` maps a non-int probe to the int it equals in O(1),
+    then takes O(1) per part.  ``==`` and ``hash`` are the record's, over
+    n, ``members`` and provenance, so they build ``members`` of a closed
+    form that has not yet read it: O(|members|) on the first comparison.
     """
 
     __slots__ = ("n", "_parts", "provenance", "_members")
@@ -113,13 +117,12 @@ class ThetaSet(_Record):
         _require_ints(members, "'members' entry")
         if provenance not in (PROVENANCE_FORMULA, PROVENANCE_SEARCH):
             raise ValueError(f"unknown provenance {provenance!r}")
-        if any(b <= a for a, b in zip(members, members[1:])):
-            raise ValueError("members must be strictly increasing")
+        parts = _runs(members)
         if members and not (2 <= members[0] and members[-1] <= n):
             raise ValueError(f"members must lie in [2, {_show_int(n)}]")
         set_n, set_parts, set_provenance, set_members = self._setters
         set_n(self, n)
-        set_parts(self, (members,))
+        set_parts(self, parts)
         set_provenance(self, provenance)
         set_members(self, members)
 
@@ -145,13 +148,40 @@ class ThetaSet(_Record):
     def __contains__(self, t: object) -> bool:
         if type(t) is not int:
             t = _int_between(t, 2, self.n)
-        return any(t in part for part in self._parts)
+        for part in self._parts:  # a loop, not any(): no generator per probe
+            if t in part:
+                return True
+        return False
 
     def __iter__(self):
         return chain.from_iterable(self._parts)
 
     def __len__(self) -> int:
         return sum(map(len, self._parts))
+
+
+def _runs(members: tuple[int, ...]) -> tuple[range, ...]:
+    """members as maximal ranges of one step, in order; refuses a tuple that
+    is not strictly increasing.  One pass over the differences: a run takes
+    its step from its first two members and ends before the first that
+    leaves it."""
+    if not members:
+        return ()
+    parts = []
+    first = last = members[0]
+    step = 0  # the open run's step, or 0 while it holds one member
+    for t in members[1:]:
+        d = t - last
+        if d <= 0:
+            raise ValueError("members must be strictly increasing")
+        if not step:
+            step = d
+        elif d != step:
+            parts.append(range(first, last + 1, step))
+            first, step = t, 0
+        last = t
+    parts.append(range(first, last + 1, step or 1))
+    return tuple(parts)
 
 
 def _size(s: Set) -> int:

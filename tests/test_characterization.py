@@ -1,11 +1,14 @@
 import random
 import tracemalloc
+from collections.abc import Hashable
 from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
 
 import numpy
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from counting_probe import CountingProbe, HashOnlyProbe
 from symmetry import epsilon
@@ -35,6 +38,11 @@ NON_INT_PROBES = [
 ]
 
 CLOSED_FORMS = [chi_prime, bounds_cyc, theta_cyclic, theta_interval, forbidden_set]
+
+# a cycle size n and a strictly increasing tuple in [2, n]
+HAND_BUILT = st.integers(3, 40).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.integers(2, n)).map(sorted).map(tuple))
+)
 
 
 @pytest.mark.parametrize("lo, hi", [(-3, 3), (2, 2), (2, 5), (3, 4), (4, 9)])
@@ -340,6 +348,39 @@ class TestThetaSet:
             probe = HashOnlyProbe(value)
             probe in th
             assert probe.eq_calls <= 2
+
+    @settings(deadline=None)
+    @given(HAND_BUILT)
+    @example((13, (2, 3, 5, 8, 13)))
+    @example((100, tuple(range(4, 101, 2))))
+    def test_a_hand_built_set_answers_like_its_tuple(self, drawn):
+        n, members = drawn
+        ts = ThetaSet(n, members, "search")
+        ref = set(members)
+        assert ts.members is members
+        assert len(ts) == len(ref) and bool(ts) == bool(ref)
+        assert tuple(ts) == members
+        for t in range(-2, n + 3):
+            assert (t in ts) == (t in ref) == (t in members), t
+        for x in NON_INT_PROBES:
+            held = x in members
+            assert (x in ts) == held, x
+            assert not isinstance(x, Hashable) or (x in ref) == held, x
+        parts = ts._parts
+        assert all(type(part) is range and part for part in parts)
+        assert all(p[-1] < q[0] for p, q in zip(parts, parts[1:]))
+
+    @pytest.mark.parametrize(
+        "members, parts",
+        [
+            (tuple(range(4, 10**5 + 1, 2)), (range(4, 10**5 + 1, 2),)),
+            # no run of three: the worst case, about one part per two members
+            ((2, 3, 5, 8, 13), (range(2, 4), range(5, 9, 3), range(13, 14))),
+        ],
+        ids=["one-progression", "no-run-of-three"],
+    )
+    def test_a_hand_built_set_holds_its_maximal_runs(self, members, parts):
+        assert ThetaSet(10**5, members, "search")._parts == parts
 
     @staticmethod
     def _by_hand(theta, n):

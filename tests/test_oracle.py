@@ -7,7 +7,7 @@ import pytest
 
 from naive_oracle import count_naive, enumerate_naive, vertex_ok
 from symmetry import rotate_edges
-from walk_count import walk_counts
+from walk_count import divisor_lists, swept_walk_counts, walk_counts
 
 from cyclic_chroma import (
     CYCLIC,
@@ -263,13 +263,24 @@ class TestAgainstWalkCount:
         monkeypatch.setenv("CYCLIC_CHROMA_MAX_N", "16")
         _assert_three_counts_agree([15, 16])
 
-    def test_existence_matches_formulas(self):
+    def test_the_sweep_equals_the_walk_count(self):
+        divisors = divisor_lists(120)
         for n in range(3, 121):
-            cyc, itv = walk_counts(n, CYCLIC), walk_counts(n, INTERVAL)
+            swept = swept_walk_counts(n, divisors)
+            for mode in (CYCLIC, INTERVAL):
+                assert swept[mode] == walk_counts(n, mode), (n, mode)
+
+    def test_existence_matches_formulas(self):
+        # both directions of the theorem for every t <= n <= 1000, with no search
+        divisors = divisor_lists(1000)
+        for n in range(3, 1001):
+            swept = swept_walk_counts(n, divisors)
+            cyc, itv = swept[CYCLIC], swept[INTERVAL]
             assert min(cyc + itv) >= 0, n
+            interval = theta_interval(n)
             for t in range(1, n + 1):
                 assert (cyc[t] > 0) == contains(n, t), (n, t)
-                assert (itv[t] > 0) == (t in theta_interval(n)), (n, t)
+                assert (itv[t] > 0) == (t in interval), (n, t)
 
     def test_count_is_positive_exactly_when_feasible(self, monkeypatch):
         monkeypatch.setenv("CYCLIC_CHROMA_MAX_N", "120")

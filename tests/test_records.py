@@ -254,3 +254,9 @@ def test_unchecked_builds_round_trip():
     for value in (construct(9, 5), theta_cyclic(10)):
         assert pickle.loads(pickle.dumps(value)) == value
         assert copy.deepcopy(value) == value
+    # a copy is rebuilt by hand from the members, and still holds ranges
+    value = theta_cyclic(10**6)
+    for back in (pickle.loads(pickle.dumps(value)), copy.copy(value)):
+        assert back == value
+        assert len(back._parts) <= 2
+        assert all(type(part) is range for part in back._parts)
