@@ -102,7 +102,12 @@ def search_bound() -> int:
 
 
 class SearchConfig(_Record):
-    """Enumeration options: mode, witness cap, and first-edge pinning."""
+    """Enumeration options: mode, witness cap, and first-edge pinning.
+
+    Pinning edge 1 to color 1 loses no answer to ``exists_search`` in
+    either mode: a valid coloring uses color 1, and rotated along the
+    cycle until an edge of that color comes first it stays valid.
+    """
 
     __slots__ = ("mode", "limit", "fix_first_color")
 
@@ -120,8 +125,6 @@ class SearchConfig(_Record):
                 raise ValueError(f"limit must be >= 1 when given, got {shown}")
         if type(fix_first_color) is not bool:
             raise ValueError(f"fix_first_color must be a bool, got {fix_first_color!r}")
-        if fix_first_color and mode != CYCLIC:
-            raise ValueError("fix_first_color is only sound in cyclic mode")
         set_mode, set_limit, set_fix_first_color = self._setters
         set_mode(self, mode)
         set_limit(self, limit)
@@ -323,9 +326,9 @@ class ProofDecomposition(_Record):
     """Structure of a valid coloring after removing interior-colored edges.
 
     Edges colored 1 or t ("boundary" edges) either form one connected block
-    around the cycle (``connected``, case A: m = 1 and y = psi = ()) or fall
-    into m >= 2 runs H_1..H_m (case B).  Eight fields are stored: n, t, m,
-    connected, u_size, rotation, and in case B
+    around the cycle (case A: y = psi = ()) or fall into m >= 2 runs
+    H_1..H_m (case B).  Six fields are stored: n, t, u_size, rotation, and
+    in case B
 
     * ``psi``, which alternates run and gap sizes |H_1|, |H'_1|, |H_2|, ...
       around an auxiliary 2m-cycle and sums to n + 2m; each run holds at
@@ -336,59 +339,58 @@ class ProofDecomposition(_Record):
 
     ``y`` and ``psi`` are stored as tuples, whatever sequence is given.
 
-    The rest is read off these two: ``components`` lists each run's span
-    and following gap, ``horizontal`` marks the auxiliary edges joining
-    equal profile values, and ``m1``/``m2`` list the runs whose gap region
-    sees color 1 / t.  Each of the four is computed anew on each access in
-    O(m) C-level passes, so a caller that reads one in a loop binds it
-    once before the loop.  ``==``, ``hash``, ``repr`` and pickling follow
-    the eight stored fields.
+    The rest is read off these two: ``connected`` (psi is empty), ``m``
+    (half the length of psi, or 1 in case A), ``components`` lists each
+    run's span and following gap, ``horizontal`` marks the auxiliary edges
+    joining equal profile values, and ``m1``/``m2`` list the runs whose gap
+    region sees color 1 / t.  The last four are computed anew on each
+    access in O(m) C-level passes, so a caller that reads one in a loop
+    binds it once before the loop.  ``==``, ``hash``, ``repr`` and pickling
+    follow the six stored fields.
     """
 
-    __slots__ = ("n", "t", "m", "connected", "u_size", "rotation", "y", "psi")
+    __slots__ = ("n", "t", "u_size", "rotation", "y", "psi")
 
     def __init__(
         self,
         n: int,
         t: int,
-        m: int,
-        connected: bool,
         u_size: int,
         rotation: int,
         y: tuple[int, ...],
         psi: tuple[int, ...],
     ) -> None:
         y, psi = tuple(y), tuple(psi)
-        if connected:
-            if m != 1 or y or psi:
-                raise ValueError("a connected decomposition has m = 1 and no y or psi")
-        else:
-            if m < 2:
-                shown = _show_int(m)
-                raise ValueError(f"a split decomposition has m >= 2, got {shown}")
-            if len(psi) != 2 * m:
-                raise ValueError(f"psi must have 2m = {_show_int(2 * m)} entries")
+        if len(psi) % 2 or len(psi) == 2 or len(y) != len(psi):
+            raise ValueError(
+                "psi must be empty or have an even length >= 4, and y its "
+                f"length; got {len(psi)} and {len(y)} entries"
+            )
+        if not {0, 1}.issuperset(y):
+            raise ValueError("y entries must be 0 or 1")
+        if psi:
+            m = len(psi) // 2
             if sum(psi) != n + 2 * m:
                 raise ValueError(f"psi must sum to n + 2m = {_show_int(n + 2 * m)}")
-            if len(y) != 2 * m:
-                raise ValueError(f"y must have 2m = {_show_int(2 * m)} entries")
-            if not {0, 1}.issuperset(y):
-                raise ValueError("y entries must be 0 or 1")
             if min(psi[0::2]) < 1:
                 raise ValueError("every run size |H_q| must be >= 1")
             if min(psi[1::2]) < 3:
                 raise ValueError("every gap size |H'_q| must be >= 3")
-        set_n, set_t, set_m, set_connected, set_u, set_rotation, set_y, set_psi = (
-            self._setters
-        )
+        set_n, set_t, set_u, set_rotation, set_y, set_psi = self._setters
         set_n(self, n)
         set_t(self, t)
-        set_m(self, m)
-        set_connected(self, connected)
         set_u(self, u_size)
         set_rotation(self, rotation)
         set_y(self, y)
         set_psi(self, psi)
+
+    @property
+    def m(self) -> int:
+        return len(self.psi) // 2 or 1
+
+    @property
+    def connected(self) -> bool:
+        return not self.psi
 
     def _runs(self) -> Iterator[tuple[int, int, int, int, int]]:
         """(q, zeta_q, eta_q, |H_q|, |H'_q|) per run, from psi in C-level passes."""
@@ -450,7 +452,7 @@ class ProofDecomposition(_Record):
             "m1": sorted(self.m1),
             "m2": sorted(self.m2),
             "psi_sum": self.psi_sum,
-            # __init__ refuses a split psi whose sum is not n + 2m
+            # __init__ refuses a psi whose sum is not n + 2m
             "psi_identity_ok": True,
         }
 
@@ -478,7 +480,7 @@ def decompose(c: CycleColoring) -> ProofDecomposition:
     m = kept.count(b"\x00\x01") + (kept[0] > kept[-1])
     if m <= 1:
         # one run (or the whole cycle when no interior color exists)
-        return ProofDecomposition(n, t, 1, True, u_size, 0, (), ())
+        return ProofDecomposition(n, t, u_size, 0, (), ())
     offset = 0 if kept[0] > kept[-1] else kept.find(b"\x00\x01") + 1
     marks = marks[offset:] + marks[:offset]
     # A byte string of 0s and 1s read as one big-endian int and shifted
@@ -500,4 +502,4 @@ def decompose(c: CycleColoring) -> ProofDecomposition:
     # edge gets byte 2 + y and every other edge 0 or 1, which is deleted.
     ends = (changes << 1 | top | top >> 8).to_bytes(n, "big")
     y = tuple(ends.translate(_Y, b"\x00\x01"))
-    return ProofDecomposition(n, t, m, False, u_size, offset, y, psi)
+    return ProofDecomposition(n, t, u_size, offset, y, psi)

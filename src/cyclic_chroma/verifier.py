@@ -32,7 +32,7 @@ Two threads that verify one coloring at once store the same value.
 from __future__ import annotations
 
 from itertools import compress, count, filterfalse
-from operator import sub
+from operator import attrgetter, sub
 from typing import NamedTuple
 
 from .model import CycleColoring, _Record
@@ -67,32 +67,36 @@ class Violation(NamedTuple):
 
 
 class VerificationReport(_Record):
-    """Structured verdict for one coloring under one mode."""
+    """Structured verdict for one coloring under one mode.
 
-    __slots__ = (
-        "proper",
-        "surjective",
-        "mode_satisfied",
-        "violations",
-        "missing_colors",
-    )
+    Two facts are stored: ``violations``, the failing vertices in ascending
+    order, and ``missing_colors``, the colors of 1..t the coloring never
+    uses, kept as a tuple and a frozenset whatever is given.  The three
+    verdicts are read-only properties derived from them on each access:
+    ``proper`` (no violation is ``not-proper``), ``surjective`` (no color
+    is missing) and ``mode_satisfied`` (no violation and no missing color).
+    """
+
+    __slots__ = ("violations", "missing_colors")
 
     def __init__(
-        self,
-        proper: bool,
-        surjective: bool,
-        mode_satisfied: bool,
-        violations: tuple[Violation, ...],
-        missing_colors: frozenset[int],
+        self, violations: tuple[Violation, ...], missing_colors: frozenset[int]
     ) -> None:
-        set_proper, set_surjective, set_satisfied, set_violations, set_missing = (
-            self._setters
-        )
-        set_proper(self, proper)
-        set_surjective(self, surjective)
-        set_satisfied(self, mode_satisfied)
-        set_violations(self, violations)
-        set_missing(self, missing_colors)
+        set_violations, set_missing = self._setters
+        set_violations(self, tuple(violations))
+        set_missing(self, frozenset(missing_colors))
+
+    @property
+    def proper(self) -> bool:
+        return NOT_PROPER not in map(attrgetter("reason"), self.violations)
+
+    @property
+    def surjective(self) -> bool:
+        return not self.missing_colors
+
+    @property
+    def mode_satisfied(self) -> bool:
+        return not self.violations and not self.missing_colors
 
     def to_json_dict(self) -> dict:
         return {
@@ -146,7 +150,6 @@ def verify(c: CycleColoring, mode: str = CYCLIC) -> VerificationReport:
     _check_mode(mode)
     n, t, colors = c.n, c.t, c.colors
     violations: list[Violation] = []
-    proper = True
     steps = _steps(t, mode)
     walk = c._walk
     if walk is not None and walk[0] <= steps:
@@ -154,7 +157,7 @@ def verify(c: CycleColoring, mode: str = CYCLIC) -> VerificationReport:
         # allows them all: every vertex keeps the rule, so none is read,
         # and the colors it found missing are missing in this mode too
         missing = walk[1]
-        return VerificationReport(True, not missing, not missing, (), missing)
+        return VerificationReport((), missing)
     taken = set()
     reason = NOT_INTERVAL if mode == INTERVAL else NOT_CYCLIC_INTERVAL
     for lo in range(0, n, _BLOCK):
@@ -169,7 +172,6 @@ def verify(c: CycleColoring, mode: str = CYCLIC) -> VerificationReport:
             continue
         # a violation lies in this block, so the walk's steps decide nothing
         bad = diffs - steps
-        proper = proper and 0 not in bad
         for i in compress(count(lo), map(bad.__contains__, map(sub, block, before))):
             x, y = colors[i - 1], colors[i]
             why = NOT_PROPER if x == y else reason
@@ -192,10 +194,4 @@ def verify(c: CycleColoring, mode: str = CYCLIC) -> VerificationReport:
     if not violations:
         set_walk = c._setters[3]
         set_walk(c, (frozenset(taken), missing))
-    return VerificationReport(
-        proper=proper,
-        surjective=not missing,
-        mode_satisfied=not missing and not violations,
-        violations=tuple(violations),
-        missing_colors=missing,
-    )
+    return VerificationReport(violations, missing)

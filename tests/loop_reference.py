@@ -3,9 +3,10 @@
 The library checks a coloring and splits it into boundary runs with passes
 that run in C (``map``, ``set``, ``bytes``, ``compress``).  These are the
 plain loops they replaced, one edge or one run per Python step; the tests
-require the library to return exactly what they return.  ``decompose``
-returns a plain mapping of the record's twelve values (its stored fields
-and its derived properties), so that it shares no code with the record.
+require the library to return exactly what they return.  ``verify`` and
+``decompose`` return plain mappings of a record's values (its stored
+fields and its derived properties, five and twelve of them), so that they
+share no code with the records.
 ``walks`` is the recursive generator the search's one-loop walk replaced,
 one nested generator per edge; the walk must yield exactly its tuples, in
 its order.
@@ -43,7 +44,12 @@ def adjacent(a: int, b: int, t: int, mode: str) -> bool:
     return abs(a - b) == 1 or (mode == CYCLIC and {a, b} == {1, t})
 
 
-def verify(c: CycleColoring, mode: str = CYCLIC) -> VerificationReport:
+def verify(c: CycleColoring, mode: str = CYCLIC) -> dict:
+    """The report's five values by name: its two fields and three verdicts.
+
+    Each verdict is read off the colors, not off the other values, so a
+    library report that derives them must match every one.
+    """
     n, t, colors = c.n, c.t, c.colors
     violations = []
     proper = True
@@ -58,13 +64,35 @@ def verify(c: CycleColoring, mode: str = CYCLIC) -> VerificationReport:
             violations.append(Violation(i + 1, (prev, cur), reason))
         prev = cur
     missing = frozenset(range(1, t + 1)) - frozenset(colors)
-    return VerificationReport(
-        proper=proper,
-        surjective=not missing,
-        mode_satisfied=proper and not missing and not violations,
-        violations=tuple(violations),
-        missing_colors=missing,
-    )
+    return {
+        "proper": proper,
+        "surjective": not missing,
+        "mode_satisfied": proper and not missing and not violations,
+        "violations": tuple(violations),
+        "missing_colors": missing,
+    }
+
+
+REPORT_VALUES = ("proper", "surjective", "mode_satisfied", "violations", "missing_colors")
+
+
+def report_values(report: VerificationReport) -> dict:
+    """A library report's five values, by the names ``verify`` returns."""
+    return {name: getattr(report, name) for name in REPORT_VALUES}
+
+
+def report_json(r: dict) -> dict:
+    """The JSON object of ``check --json`` for the mapping ``verify`` returns."""
+    return {
+        "proper": r["proper"],
+        "surjective": r["surjective"],
+        "valid": r["mode_satisfied"],
+        "violations": [
+            {"vertex": v.vertex, "palette": list(v.palette), "reason": v.reason}
+            for v in r["violations"]
+        ],
+        "missing_colors": sorted(r["missing_colors"]),
+    }
 
 
 def decompose(c: CycleColoring) -> dict:
@@ -74,7 +102,7 @@ def decompose(c: CycleColoring) -> dict:
     the library stores only psi and y and derives the rest, and must match
     every value here.
     """
-    if not verify(c, CYCLIC).mode_satisfied:
+    if not verify(c, CYCLIC)["mode_satisfied"]:
         raise ValueError("decompose requires a valid cyclic-mode coloring")
     n, t = c.n, c.t
     interior = u_set(c)

@@ -1,9 +1,9 @@
 """``verify``, ``decompose`` and the search walk against the loops they replaced.
 
-Every field of the report, the order of the violations, every stored field
-and derived property of the decomposition (with its type, which tells ``1``
-from ``True``), the JSON of the decomposition and the walk's tuples, in
-order, must match ``loop_reference`` exactly.
+Every field and verdict of the report, the order of the violations, every
+stored field and derived property of the decomposition (each with its
+type, which tells ``1`` from ``True``), the JSON of both and the walk's
+tuples, in order, must match ``loop_reference`` exactly.
 """
 
 import json
@@ -33,13 +33,16 @@ from cyclic_chroma.verifier import _BLOCK
 def assert_matches_reference(c):
     for mode in (INTERVAL, CYCLIC):
         got, want = verify(c, mode), loop_reference.verify(c, mode)
-        assert got == want, (c, mode)
-        assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+        # the three verdicts too, which the report derives and == skips
+        for name, value in want.items():
+            assert_same(getattr(got, name), value, (c, mode, name))
+        want_json = loop_reference.report_json(want)
+        assert json.dumps(got.to_json_dict()) == json.dumps(want_json), (c, mode)
     assert_decomposes_as_reference(c)
 
 
 def assert_decomposes_as_reference(c):
-    if not loop_reference.verify(c, CYCLIC).mode_satisfied:
+    if not loop_reference.verify(c, CYCLIC)["mode_satisfied"]:
         with pytest.raises(ValueError):
             decompose(c)
         return
@@ -109,7 +112,8 @@ def test_every_small_closed_walk():
             for colors in closed_walks(n, t):
                 c = CycleColoring(n, t, colors)
                 for mode in (INTERVAL, CYCLIC):
-                    assert verify(c, mode) == loop_reference.verify(c, mode), (c, mode)
+                    got = loop_reference.report_values(verify(c, mode))
+                    assert got == loop_reference.verify(c, mode), (c, mode)
 
 
 B = _BLOCK  # verify reads blocks of B vertices
@@ -142,7 +146,8 @@ def test_long_closed_walks(t, colors, missing):
     mirrored = CycleColoring(c.n, t, tuple(t + 1 - x for x in colors))
     for walk in (c, mirrored, rotate_edges(c, c.n // 2)):
         for mode in (INTERVAL, CYCLIC):
-            assert verify(walk, mode) == loop_reference.verify(walk, mode), (walk, mode)
+            got = loop_reference.report_values(verify(walk, mode))
+            assert got == loop_reference.verify(walk, mode), (walk, mode)
     assert verify(c, CYCLIC).missing_colors == frozenset(missing)
 
 
@@ -266,9 +271,8 @@ def test_a_coloring_verified_again_gets_the_same_reports(c):
         again = CycleColoring(c.n, c.t, c.colors)
         for mode in order * 2:
             fresh = CycleColoring(c.n, c.t, c.colors)
-            assert verify(again, mode) == loop_reference.verify(fresh, mode), (
-                order, mode
-            )
+            got = loop_reference.report_values(verify(again, mode))
+            assert got == loop_reference.verify(fresh, mode), (order, mode)
         assert_decomposes_as_reference(again)
 
 
@@ -289,7 +293,9 @@ def test_walks_match_the_recursive_walk():
     # before its tree is checked here by exhausting that tree
     for n in range(3, 14):
         for t in range(1, n + 1):
-            for mode, fix in ((CYCLIC, False), (INTERVAL, False), (CYCLIC, True)):
+            for mode, fix in (
+                (CYCLIC, False), (INTERVAL, False), (CYCLIC, True), (INTERVAL, True)
+            ):
                 cfg = SearchConfig(mode=mode, fix_first_color=fix)
                 got = list(_walks(n, t, cfg))
                 assert got == list(loop_reference.walks(n, t, mode, fix)), (n, t, cfg)

@@ -453,17 +453,19 @@ class TestHugeIntsInMessages:
             ),
             (
                 lambda: ProofDecomposition(
-                    n=HUGE, t=3, m=2, connected=False, u_size=0, rotation=0,
+                    n=HUGE, t=3, u_size=0, rotation=0,
                     y=(0, 1, 1, 0), psi=(1, 1, 1, 1),
                 ),
                 f"psi must sum to n + 2m = {_shown(HUGE + 4, 5001)}",
             ),
             (
+                # m is read off psi, so this refusal names only lengths
                 lambda: ProofDecomposition(
-                    n=7, t=3, m=HUGE, connected=False, u_size=0, rotation=0,
-                    y=(0, 1, 1, 0), psi=(1, 1, 1, 1),
+                    n=HUGE, t=HUGE, u_size=HUGE, rotation=0,
+                    y=(0, 1), psi=(1, HUGE),
                 ),
-                f"psi must have 2m = {_shown(2 * HUGE, 5001)} entries",
+                "psi must be empty or have an even length >= 4, and y its "
+                "length; got 2 and 2 entries",
             ),
         ],
         ids=["search-config-limit", "theta-set-span", "decomposition-psi-sum",

@@ -48,15 +48,18 @@ class TestExistsSearch:
             assert not exists_search(5, t, INTERVAL)
 
     def test_fixing_soundness(self):
-        for n in range(3, 11):
-            for t in range(1, n + 1):
-                assert exists_search(n, t, CYCLIC, fix_first_color=True) == exists_search(
-                    n, t, CYCLIC
-                ), (n, t)
+        # a valid coloring uses color 1 and stays valid rotated along the
+        # cycle, so pinning edge 1 to color 1 loses no answer in either mode
+        for mode in (CYCLIC, INTERVAL):
+            for n in range(3, 15):
+                for t in range(1, n + 1):
+                    pinned = exists_search(n, t, mode, fix_first_color=True)
+                    assert pinned == exists_search(n, t, mode), (n, t, mode)
 
-    def test_fixing_rejected_in_interval_mode(self):
-        with pytest.raises(ValueError):
-            exists_search(6, 3, INTERVAL, fix_first_color=True)
+    def test_fixing_in_interval_mode_answers_as_the_full_walk(self):
+        for n, t, want in [(6, 3, True), (8, 4, True), (5, 3, False), (6, 5, False)]:
+            assert exists_search(n, t, INTERVAL, fix_first_color=True) is want
+            assert exists_search(n, t, INTERVAL) is want
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -271,9 +274,9 @@ class TestAgainstWalkCount:
                 assert swept[mode] == walk_counts(n, mode), (n, mode)
 
     def test_existence_matches_formulas(self):
-        # both directions of the theorem for every t <= n <= 1000, with no search
-        divisors = divisor_lists(1000)
-        for n in range(3, 1001):
+        # both directions of the theorem for every t <= n <= 2000, with no search
+        divisors = divisor_lists(2000)
+        for n in range(3, 2001):
             swept = swept_walk_counts(n, divisors)
             cyc, itv = swept[CYCLIC], swept[INTERVAL]
             assert min(cyc + itv) >= 0, n
@@ -414,14 +417,15 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match=message):
             enumerate_colorings(5, 3, config)
 
-    def test_fixing_requires_cyclic(self):
-        with pytest.raises(ValueError):
-            SearchConfig(mode=INTERVAL, fix_first_color=True)
+    def test_fixing_in_interval_mode_keeps_the_walks_from_color_1(self):
+        unfixed = enumerate_colorings(8, 4, SearchConfig(mode=INTERVAL))
+        fixed = enumerate_colorings(8, 4, SearchConfig(INTERVAL, None, True))
+        assert fixed and fixed == [c for c in unfixed if c.colors[0] == 1]
 
     @pytest.mark.parametrize("fix", ["no", 1, None, numpy.True_], ids=repr)
     @pytest.mark.parametrize("mode", [CYCLIC, INTERVAL])
     def test_fixing_must_be_a_bool(self, fix, mode):
-        # refused before the cyclic-mode rule, so interval mode says the same
+        # refused alike in either mode
         message = f"fix_first_color must be a bool, got {fix!r}"
         with pytest.raises(ValueError) as info:
             SearchConfig(mode=mode, fix_first_color=fix)
@@ -485,41 +489,40 @@ class TestDecompose:
         # psi sums to 4, not n + 2m = 11; the check must survive python -O
         with pytest.raises(ValueError):
             ProofDecomposition(
-                n=7,
-                t=5,
-                m=2,
-                connected=False,
-                u_size=4,
-                rotation=0,
-                y=(0, 0, 1, 0),
-                psi=(1, 1, 1, 1),
+                n=7, t=5, u_size=4, rotation=0, y=(0, 0, 1, 0), psi=(1, 1, 1, 1)
             )
 
-    CONNECTED = "a connected decomposition has m = 1 and no y or psi"
+    @staticmethod
+    def lengths(psi, y):
+        return (
+            r"psi must be empty or have an even length >= 4, and y its length; "
+            f"got {psi} and {y} entries"
+        )
+
     Y = (0, 0, 1, 0)
 
     @pytest.mark.parametrize(
-        "connected, m, y, psi, message",
+        "y, psi, message",
         [
-            (True, 2, (), (), CONNECTED),
-            (True, 1, (0, 1), (), CONNECTED),
-            (True, 1, (), (7, 2), CONNECTED),
-            (False, 1, (0, 1), (1, 8), "a split decomposition has m >= 2, got 1"),
-            (False, 2, (0, 0, 1), (1, 5, 2, 3), "y must have 2m = 4 entries"),
-            (False, 2, (0, 0, 2, 0), (1, 5, 2, 3), "y entries must be 0 or 1"),
-            (False, 2, Y, (0, 6, 2, 3), r"every run size \|H_q\| must be >= 1"),
-            (False, 2, Y, (2, 2, 4, 3), r"every gap size \|H'_q\| must be >= 3"),
+            ((), (1, 5, 2), lengths(3, 0)),
+            ((0, 1), (), lengths(0, 2)),
+            ((), (7, 2), lengths(2, 0)),
+            ((0, 1), (1, 8), lengths(2, 2)),
+            ((0, 0, 1), (1, 5, 2, 3), lengths(4, 3)),
+            ((0, 0, 2, 0), (1, 5, 2, 3), "y entries must be 0 or 1"),
+            (Y, (0, 6, 2, 3), r"every run size \|H_q\| must be >= 1"),
+            (Y, (2, 2, 4, 3), r"every gap size \|H'_q\| must be >= 3"),
         ],
         ids=[
-            "connected-m", "connected-y", "connected-psi", "split-m",
+            "odd-psi", "connected-y", "connected-psi", "split-m",
             "y-length", "y-entry", "run-size", "gap-size",
         ],
     )
-    def test_impossible_structure_refused(self, connected, m, y, psi, message):
+    def test_impossible_structure_refused(self, y, psi, message):
         # every other field is that of decompose(CycleColoring(7, 5, ...)) in
         # test_two_component_example; the checks must survive python -O
         with pytest.raises(ValueError, match=f"^{message}$"):
-            ProofDecomposition(7, 5, m, connected, 4, 0, y, psi)
+            ProofDecomposition(7, 5, 4, 0, y, psi)
 
     def test_invalid_coloring_rejected(self):
         with pytest.raises(ValueError):

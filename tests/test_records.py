@@ -24,17 +24,13 @@ from cyclic_chroma import (
     verify,
 )
 
-DECOMPOSITION_ARGS = (6, 3, 2, False, 2, 0, (0, 1, 1, 0), (1, 4, 1, 4))
+DECOMPOSITION_ARGS = (6, 3, 2, 0, (0, 1, 1, 0), (1, 4, 1, 4))
 FIELDS = {
     CycleColoring: ("n", "t", "colors"),
     ThetaSet: ("n", "members", "provenance"),
-    VerificationReport: (
-        "proper", "surjective", "mode_satisfied", "violations", "missing_colors",
-    ),
+    VerificationReport: ("violations", "missing_colors"),
     SearchConfig: ("mode", "limit", "fix_first_color"),
-    ProofDecomposition: (
-        "n", "t", "m", "connected", "u_size", "rotation", "y", "psi",
-    ),
+    ProofDecomposition: ("n", "t", "u_size", "rotation", "y", "psi"),
 }
 
 
@@ -112,7 +108,7 @@ def test_repr():
         "ThetaSet(n=6, members=(2, 3, 4, 6), provenance='formula')"
     )
     assert repr(verify(CycleColoring(4, 2, (1, 1, 2, 2)), "interval")) == (
-        "VerificationReport(proper=False, surjective=True, mode_satisfied=False, "
+        "VerificationReport("
         "violations=(Violation(vertex=2, palette=(1, 1), reason='not-proper'), "
         "Violation(vertex=4, palette=(2, 2), reason='not-proper')), "
         "missing_colors=frozenset())"
@@ -121,8 +117,7 @@ def test_repr():
         "SearchConfig(mode='cyclic', limit=None, fix_first_color=False)"
     )
     assert repr(decompose(construct(7, 7))) == (
-        "ProofDecomposition(n=7, t=7, m=1, connected=True, u_size=5, rotation=0, "
-        "y=(), psi=())"
+        "ProofDecomposition(n=7, t=7, u_size=5, rotation=0, y=(), psi=())"
     )
 
 
@@ -155,14 +150,11 @@ def test_positional_and_keyword_construction():
         provenance="search", n=6, members=[2, 3]
     )
     violations = (Violation(2, (1, 1), "not-proper"),)
-    assert VerificationReport(False, True, False, violations, frozenset()) == (
-        VerificationReport(
-            missing_colors=frozenset(),
-            violations=violations,
-            mode_satisfied=False,
-            surjective=True,
-            proper=False,
-        )
+    report = VerificationReport(violations, frozenset())
+    assert report == VerificationReport(missing_colors=frozenset(), violations=violations)
+    # the verdicts, read off the two fields
+    assert (report.proper, report.surjective, report.mode_satisfied) == (
+        False, True, False
     )
     assert SearchConfig("cyclic", 2, True) == SearchConfig(
         fix_first_color=True, limit=2, mode="cyclic"
@@ -172,6 +164,7 @@ def test_positional_and_keyword_construction():
     assert ProofDecomposition(*DECOMPOSITION_ARGS) == by_keyword
     assert by_keyword.psi_sum == 10
     # the derived properties, read off psi and y
+    assert (by_keyword.m, by_keyword.connected) == (2, False)
     assert by_keyword.components == (
         ComponentSpan(1, 1, 1, 1, 4), ComponentSpan(2, 4, 4, 1, 4)
     )
@@ -183,7 +176,12 @@ def test_positional_and_keyword_construction():
 def test_construction_normalises_sequences_to_tuples():
     assert CycleColoring(3, 3, [1, 2, 3]).colors == (1, 2, 3)
     assert ThetaSet(6, [2, 3], "search").members == (2, 3)
-    listed = ProofDecomposition(6, 3, 2, False, 2, 0, [0, 1, 1, 0], [1, 4, 1, 4])
+    violation = Violation(2, (1, 1), "not-proper")
+    report = VerificationReport([violation], set())
+    assert (report.violations, report.missing_colors) == ((violation,), frozenset())
+    assert report == VerificationReport((violation,), frozenset())
+    assert hash(report) == hash(VerificationReport((violation,), frozenset()))
+    listed = ProofDecomposition(6, 3, 2, 0, [0, 1, 1, 0], [1, 4, 1, 4])
     assert (listed.y, listed.psi) == ((0, 1, 1, 0), (1, 4, 1, 4))
     assert listed == ProofDecomposition(*DECOMPOSITION_ARGS)
     assert hash(listed) == hash(ProofDecomposition(*DECOMPOSITION_ARGS))
@@ -202,6 +200,14 @@ def test_wrong_arguments_are_refused_by_signature():
         SearchConfig("cyclic", None, False, None)
     with pytest.raises(TypeError):
         ThetaSet(6, (2,), "search", colour=1)
+    # the verdicts and m and connected are no fields: a report that would
+    # call itself valid beside a not-proper violation cannot be built
+    with pytest.raises(TypeError):
+        VerificationReport(
+            True, True, True, (Violation(1, (1, 1), "not-proper"),), frozenset()
+        )
+    with pytest.raises(TypeError):
+        ProofDecomposition(*DECOMPOSITION_ARGS[:2], 2, False, *DECOMPOSITION_ARGS[2:])
 
 
 @pytest.mark.parametrize("label", LABELS)
@@ -227,7 +233,7 @@ def test_copy_round_trip(label):
         copy.deepcopy(value).extra = 1
 
 
-DERIVED = ("components", "horizontal", "m1", "m2", "psi_sum")
+DERIVED = ("m", "connected", "components", "horizontal", "m1", "m2", "psi_sum")
 
 
 @pytest.mark.parametrize("n, t", [(7, 7), (8, 3), (11, 5)])
@@ -247,6 +253,14 @@ def test_decomposition_derived_properties_cannot_be_set():
         with pytest.raises(AttributeError):
             setattr(value, name, None)
     assert value.m2 == frozenset({1, 2})
+    # nor can the report's verdicts, derived from its two fields
+    report = verify(CycleColoring(4, 2, (1, 1, 2, 2)), "interval")
+    for name in ("proper", "surjective", "mode_satisfied"):
+        with pytest.raises(AttributeError):
+            setattr(report, name, True)
+    assert (report.proper, report.surjective, report.mode_satisfied) == (
+        False, True, False
+    )
 
 
 def test_unchecked_builds_round_trip():
