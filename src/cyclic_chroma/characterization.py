@@ -15,7 +15,10 @@ Two patterns cover every feasible (n, t):
 From s to n the t with n - t odd form the forbidden gap.  So cyclic-mode
 colorings exist exactly for the tent t and the zigzag t, and interval-mode
 colorings exactly for the tent t.  ``construct`` builds the
-zigzag-staircase when n - t is even and the tent otherwise.
+zigzag-staircase when n - t is even and the tent otherwise.  It is the one
+place that raises ``Infeasible``, which means that no coloring exists; a
+builder asked for a pair outside its own pattern refuses with ValueError,
+since the other pattern may still cover it.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ __all__ = [
     "bounds_cyc",
     "REASON_RANGE",
     "REASON_FORBIDDEN",
-    "REASON_PATTERN",
     "Infeasible",
     "zigzag_staircase",
     "tent",
@@ -57,7 +59,6 @@ PROVENANCE_SEARCH = "search"
 
 REASON_RANGE = "range"
 REASON_FORBIDDEN = "forbidden"
-REASON_PATTERN = "pattern"
 
 # The largest n whose feasible sets and witnesses are built, and the most
 # members a RangeSet operator copies; beyond it, use contains() or ``in``.
@@ -370,32 +371,27 @@ def bounds_cyc(n: int) -> tuple[int, int]:
 
 
 class Infeasible(Exception):
-    """No coloring exists, or no pattern applies, for the requested (n, t).
+    """No coloring of C(n) uses exactly t colors; ``construct`` raises it.
 
-    ``reason`` names the gate that failed: "range" when t falls outside
-    [chi', n], "forbidden" when t sits in the parity gap, "pattern" when a
-    specific builder was asked for parameters outside its shape.
-
-    ``construct`` passes no ``message``: its text, for a t out of range or
-    in the gap, is built from n, t and reason when ``message``, ``str()``,
-    ``repr()`` or ``args`` is first read, and then kept; any other reason
-    needs a ``message``.  ``args`` is ``(message,)``.  Pickling and copying
-    keep n, t, reason and the text once built or given.
+    By the theorem there are two reasons, and ``reason`` names which: "range"
+    when t falls outside [chi', n], "forbidden" when t sits in the parity
+    gap.  Any other reason is refused with ValueError.  ``message``,
+    ``str()``, ``repr()`` and ``args`` (``(message,)``) build the text from
+    n, t and reason on each read, so a caller that reads only ``reason``
+    formats nothing.  Pickling and copying keep n, t, reason and any note.
     """
 
-    def __init__(self, n: int, t: int, reason: str, message: str | None = None) -> None:
-        if message is None and reason not in (REASON_RANGE, REASON_FORBIDDEN):
-            raise ValueError(f"a refusal for reason {reason!r} needs a message")
+    def __init__(self, n: int, t: int, reason: str) -> None:
+        if reason not in (REASON_RANGE, REASON_FORBIDDEN):
+            known = f"{REASON_RANGE!r} or {REASON_FORBIDDEN!r}"
+            raise ValueError(f"reason must be {known}, got {reason!r}")
         self.n = n
         self.t = t
         self.reason = reason
-        self._message = message
 
     @property
     def message(self) -> str:
-        if self._message is None:
-            self._message = _refusal(self.n, self.t, self.reason)
-        return self._message
+        return _refusal(self.n, self.t, self.reason)
 
     @property
     def args(self) -> tuple[str]:
@@ -408,8 +404,7 @@ class Infeasible(Exception):
         return f"{type(self).__name__}({self.message!r})"
 
     def __reduce__(self):
-        # the text once built or given, and the dict any note added
-        return type(self), (self.n, self.t, self.reason, self._message), self.__dict__
+        return type(self), (self.n, self.t, self.reason), self.__dict__
 
 
 def _refusal(n: int, t: int, reason: str) -> str:
@@ -428,14 +423,14 @@ def _refusal(n: int, t: int, reason: str) -> str:
 def zigzag_staircase(n: int, t: int) -> CycleColoring:
     """Alternating (1,2) prefix of length n-t, then the ascent 1..t.
 
-    Requires chi'(n) <= t <= n with n-t even; refuses n above
-    MATERIALIZE_CAP with ValueError.
+    Requires chi'(n) <= t <= n with n-t even, then n at most
+    MATERIALIZE_CAP; refuses any other pair with ValueError.
     """
     chi = _split(n)[0]
     _require_int(t, "'t'")
     if not (chi <= t <= n) or (n - t) % 2 != 0:
         need = f"{chi} <= t <= {_show_int(n)} with n-t even, got t={_show_int(t)}"
-        raise Infeasible(n, t, REASON_PATTERN, f"zigzag-staircase needs {need}")
+        raise ValueError(f"zigzag-staircase needs {need}")
     _check_cap(n, "a witness")
     pad = (n - t) // 2
     return CycleColoring._trusted(n, t, (1, 2) * pad + tuple(range(1, t + 1)))
@@ -444,15 +439,15 @@ def zigzag_staircase(n: int, t: int) -> CycleColoring:
 def tent(n: int, t: int) -> CycleColoring:
     """Ascent 1..t, descent t-1..2, then alternating (1,2) padding.
 
-    Requires even n and 2 <= t <= n/2+1; the result is interval-valid.
-    Refuses n above MATERIALIZE_CAP with ValueError.
+    Requires even n and 2 <= t <= n/2+1, then n at most MATERIALIZE_CAP;
+    refuses any other pair with ValueError.  The result is interval-valid.
     """
     chi, s = _split(n)
     _require_int(t, "'t'")
     if not chi <= t < s:
         got = f"n={_show_int(n)}, t={_show_int(t)}"
         need = "even n and 2 <= t <= n/2+1"
-        raise Infeasible(n, t, REASON_PATTERN, f"tent needs {need}, got {got}")
+        raise ValueError(f"tent needs {need}, got {got}")
     _check_cap(n, "a witness")
     pad = (n - (2 * t - 2)) // 2
     ascent = tuple(range(1, t + 1))

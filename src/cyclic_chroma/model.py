@@ -95,7 +95,8 @@ class _Record:
     A subclass lists its fields in order in ``__slots__``, or in ``_names`` when
     one is no slot.  ``_setters`` holds each slot's own ``__set__``, in
     ``__slots__`` order, and is how the subclass's ``__init__`` sets them.
-    Setting or deleting a field raises AttributeError.  ``==`` holds between
+    Setting or deleting any attribute raises AttributeError, which says
+    "field" only for a name in ``_names``.  ``==`` holds between
     two records of the same class whose fields are equal, ``hash`` is that of
     the tuple of fields, and ``repr`` names every field.  Pickling and copying
     rebuild a record through its ``__init__``, from its fields in order.
@@ -113,10 +114,12 @@ class _Record:
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
+        what = "field" if name in self._names else "attribute"
+        raise AttributeError(f"cannot assign to {what} {name!r}")
 
     def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
+        what = "field" if name in self._names else "attribute"
+        raise AttributeError(f"cannot delete {what} {name!r}")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:

@@ -11,7 +11,6 @@ from cyclic_chroma import (
     MATERIALIZE_CAP,
     Infeasible,
     REASON_FORBIDDEN,
-    REASON_PATTERN,
     REASON_RANGE,
     construct,
     contains,
@@ -34,15 +33,20 @@ class TestZigzagStaircase:
         assert zigzag_staircase(4, 2).colors == (1, 2, 1, 2)
 
     def test_parity_violation(self):
-        with pytest.raises(Infeasible) as exc:
+        # (6, 3) has a coloring, the tent; it is only outside this pattern
+        with pytest.raises(ValueError) as exc:
             zigzag_staircase(6, 3)
-        assert exc.value.reason == REASON_PATTERN
+        assert str(exc.value) == (
+            "zigzag-staircase needs 2 <= t <= 6 with n-t even, got t=3"
+        )
 
     def test_range_violation(self):
-        with pytest.raises(Infeasible):
-            zigzag_staircase(5, 7)
-        with pytest.raises(Infeasible):
-            zigzag_staircase(5, 1)
+        for t in (7, 1):
+            with pytest.raises(ValueError) as exc:
+                zigzag_staircase(5, t)
+            assert str(exc.value) == (
+                f"zigzag-staircase needs 3 <= t <= 5 with n-t even, got t={t}"
+            )
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -56,13 +60,15 @@ class TestTent:
         assert tent(4, 2).colors == (1, 2, 1, 2)
 
     def test_odd_cycle_rejected(self):
-        with pytest.raises(Infeasible) as exc:
+        # (5, 3) has a coloring, the zigzag-staircase; it is only outside this pattern
+        with pytest.raises(ValueError) as exc:
             tent(5, 3)
-        assert exc.value.reason == REASON_PATTERN
+        assert str(exc.value) == "tent needs even n and 2 <= t <= n/2+1, got n=5, t=3"
 
     def test_t_too_large(self):
-        with pytest.raises(Infeasible):
+        with pytest.raises(ValueError) as exc:
             tent(6, 5)
+        assert str(exc.value) == "tent needs even n and 2 <= t <= n/2+1, got n=6, t=5"
 
     def test_interval_valid(self):
         for n in range(4, 121, 2):
@@ -106,10 +112,16 @@ class TestConstruct:
         with pytest.raises(Infeasible) as exc:
             construct(10**7, 1)
         assert exc.value.reason == REASON_RANGE
-        for build, n in ((tent, MATERIALIZE_CAP + 1), (zigzag_staircase, 10**7)):
-            with pytest.raises(Infeasible) as exc:
+        # and a builder's pattern refusal before its cap refusal
+        for build, n, text in (
+            (tent, MATERIALIZE_CAP + 1,
+             f"tent needs even n and 2 <= t <= n/2+1, got n={MATERIALIZE_CAP + 1}, t=3"),
+            (zigzag_staircase, 10**7,
+             "zigzag-staircase needs 2 <= t <= 10000000 with n-t even, got t=3"),
+        ):
+            with pytest.raises(ValueError) as exc:
                 build(n, 3)
-            assert exc.value.reason == REASON_PATTERN
+            assert str(exc.value) == text
 
     def test_out_of_range(self):
         with pytest.raises(Infeasible) as exc:
@@ -273,6 +285,38 @@ def test_refusal_text_of_ints_past_the_str_limit(n, t):
     _assert_refusal_reads(n, t, *want)
 
 
+def test_infeasible_means_no_coloring_exists():
+    # construct refuses exactly the pairs the theorem rules out, with the
+    # reason the arithmetic gives; a builder asked for a pair outside its
+    # own pattern refuses with ValueError, never Infeasible, since the
+    # other pattern may cover it
+    for n in range(3, 61):
+        for t in range(-1, n + 3):
+            want = _expected_refusal(n, t)
+            assert (want is None) == contains(n, t), (n, t)
+            try:
+                witness = construct(n, t)
+            except Infeasible as refusal:
+                assert want is not None and refusal.reason == want[0], (n, t)
+            else:
+                assert want is None and witness.t == t, (n, t)
+                assert verify(witness, CYCLIC).mode_satisfied, (n, t)
+            built = 0
+            for build, mode in ((zigzag_staircase, CYCLIC), (tent, INTERVAL)):
+                try:
+                    c = build(n, t)
+                except ValueError:
+                    continue
+                assert (c.n, c.t) == (n, t), (build, n, t)
+                assert verify(c, mode).mode_satisfied, (build, n, t)
+                built += 1
+            # every feasible pair has a pattern, and no other pair has one
+            assert bool(built) == (want is None), (n, t)
+        for build in (construct, zigzag_staircase, tent):
+            with pytest.raises(ValueError, match="'t' must be an integer"):
+                build(n, 3.0)
+
+
 def _refusals():
     """A refusal of each reason, with its text unread and read."""
     made = []
@@ -280,8 +324,6 @@ def _refusals():
         (construct, 6, 5),
         (construct, 6, 1),
         (construct, 10**4000 + 1, 4),  # pickle protocols 0 and 1 write ints as text
-        (tent, 5, 3),
-        (zigzag_staircase, 6, 3),
     ):
         for read in (False, True):
             with pytest.raises(Infeasible) as info:
@@ -312,13 +354,17 @@ def test_refusals_pickle_and_copy(how):
         assert (str(back), repr(back), back.args) == (str(e), repr(e), e.args)
 
 
-def test_a_refusal_with_no_text_of_its_own_needs_one():
-    # only construct's two reasons build their text from n and t; any other
+def test_only_the_two_reasons_are_accepted():
+    # by the theorem no coloring exists for exactly two reasons; any other
     # would read as a range refusal, "t=4 outside [3,5] for C(5)", false
-    for reason in (REASON_PATTERN, "", None):
-        with pytest.raises(ValueError, match="needs a message"):
+    for reason in ("pattern", "", None, "Range"):
+        with pytest.raises(ValueError) as info:
             Infeasible(5, 4, reason)
-    given = Infeasible(5, 4, REASON_PATTERN, "tent needs an odd t")
-    assert str(given) == "tent needs an odd t"
+        assert str(info.value) == (
+            f"reason must be 'range' or 'forbidden', got {reason!r}"
+        )
+    # a refusal holds n, t and reason only: it takes no text of its own
+    with pytest.raises(TypeError):
+        Infeasible(5, 4, REASON_RANGE, "tent needs an odd t")
     assert str(Infeasible(5, 6, REASON_RANGE)) == "t=6 outside [3,5] for C(5)"
     assert str(Infeasible(6, 5, REASON_FORBIDDEN)) == "t=5 in forbidden set {5} of C(6)"

@@ -55,6 +55,16 @@ def test_unchecked_colorings_come_from_the_known_builders():
     assert _callers("_trusted") == TRUSTED_CALLERS
 
 
+def test_only_construct_raises_infeasible():
+    # Infeasible means that no coloring exists, which construct decides from
+    # the theorem; a builder outside its own pattern refuses with ValueError,
+    # and the CLI's make only catches the refusal
+    assert _callers("Infeasible") == {
+        ("characterization.py", "construct"),
+        ("cli.py", "make"),
+    }
+
+
 def test_unchecked_feasible_sets_come_from_the_closed_forms():
     # ThetaSet._of_ranges checks none of its ranges, so only the closed
     # forms, whose ranges _split makes right, may call it
@@ -120,7 +130,7 @@ PUBLIC_NAMES = [
     "CycleColoring",
     "MATERIALIZE_CAP", "ThetaSet", "chi_prime", "forbidden_set", "theta_cyclic",
     "theta_interval", "contains", "bounds_cyc", "REASON_RANGE", "REASON_FORBIDDEN",
-    "REASON_PATTERN", "Infeasible", "zigzag_staircase", "tent", "construct",
+    "Infeasible", "zigzag_staircase", "tent", "construct",
     "INTERVAL", "CYCLIC", "NOT_PROPER", "NOT_INTERVAL", "NOT_CYCLIC_INTERVAL",
     "Violation", "VerificationReport", "verify",
     "DEFAULT_MAX_N", "MAX_N_ENV_VAR", "SearchBoundExceeded", "SearchConfig",
