@@ -29,7 +29,6 @@ from .characterization import (
 from .model import CycleColoring, _check_n
 from .oracle import (
     _PLAIN_INT,
-    SearchBoundExceeded,
     count_colorings,
     decompose as decompose_coloring,
     exists_search,
@@ -382,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except argparse.ArgumentError as exc:
         sub.error(str(exc))
-    except (ValueError, OverflowError, SearchBoundExceeded) as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,10 +11,11 @@ color's parity, so no closed walk of odd length exists.  Otherwise branches
 die as soon as the unused-color count exceeds the edges left; the default
 bound n <= 14 stays well under a second per query, but a raised bound can
 still meet an exponential tree (an even n with a tent's t near n/2).  The
-walk is an outer loop over the first color and one inner loop over the
-nodes, with one fixed slot per depth for the color and one for the sibling
-still to try, and no iterator per node.  It holds O(n + t) state, so a
-raised bound is capped at MATERIALIZE_CAP.
+walk is an outer loop over the first colors (color 1 alone, which every
+valid coloring rotates to, when ``exists_search`` pins it) and one inner
+loop over the nodes, with one fixed slot per depth for the color and one
+for the sibling still to try, and no iterator per node.  It holds O(n + t)
+state, so a raised bound is capped at MATERIALIZE_CAP.
 
 ``count_colorings`` runs no search.  A valid coloring is a closed n-step
 walk that visits every vertex of the color graph, so the count is a sum of
@@ -31,7 +32,7 @@ import re
 import sys
 from itertools import accumulate, compress, count, cycle, islice, repeat, starmap
 from operator import add, eq, sub
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .characterization import MATERIALIZE_CAP, PROVENANCE_SEARCH, ThetaSet
 from .model import (
@@ -76,7 +77,7 @@ _TOP = bytes.maketrans(b"\x01\x02", b"\x00\x01")
 _Y = bytes.maketrans(b"\x02\x03", b"\x00\x01")
 
 
-class SearchBoundExceeded(Exception):
+class SearchBoundExceeded(ValueError):
     """Raised when n exceeds the configured exhaustive-search bound."""
 
 
@@ -102,33 +103,20 @@ def search_bound() -> int:
 
 
 class SearchConfig(_Record):
-    """Enumeration options: mode, witness cap, and first-edge pinning.
+    """Enumeration options for ``enumerate_colorings``: mode and witness cap."""
 
-    Pinning edge 1 to color 1 loses no answer to ``exists_search`` in
-    either mode: a valid coloring uses color 1, and rotated along the
-    cycle until an edge of that color comes first it stays valid.
-    """
+    __slots__ = ("mode", "limit")
 
-    __slots__ = ("mode", "limit", "fix_first_color")
-
-    def __init__(
-        self,
-        mode: str = CYCLIC,
-        limit: int | None = None,
-        fix_first_color: bool = False,
-    ) -> None:
+    def __init__(self, mode: str = CYCLIC, limit: int | None = None) -> None:
         _check_mode(mode)
         if limit is not None:
             _require_int(limit, "limit")
             if limit < 1:
                 shown = _show_int(limit)
                 raise ValueError(f"limit must be >= 1 when given, got {shown}")
-        if type(fix_first_color) is not bool:
-            raise ValueError(f"fix_first_color must be a bool, got {fix_first_color!r}")
-        set_mode, set_limit, set_fix_first_color = self._setters
+        set_mode, set_limit = self._setters
         set_mode(self, mode)
         set_limit(self, limit)
-        set_fix_first_color(self, fix_first_color)
 
 
 def _successor_table(t: int, mode: str) -> list[list[int]]:
@@ -154,12 +142,15 @@ def _check_search_args(n: int, t: int) -> None:
     _check_t(n, t)
 
 
-def _walks(n: int, t: int, cfg: SearchConfig) -> Iterator[tuple[int, ...]]:
-    """Yield valid color sequences in lexicographic order.
+def _walks(
+    n: int, t: int, mode: str, firsts: Iterable[int]
+) -> Iterator[tuple[int, ...]]:
+    """Yield the valid color sequences whose first color is in firsts.
 
-    An outer loop over the first color, then one loop with no frame per
-    edge: the walk stands at depth k with the color c to try on edge
-    k + 1, and left[k] holds the one color it still has to try there (a
+    firsts is ``(1,)`` or ``range(1, t + 1)``, so the sequences come in
+    lexicographic order.  An outer loop over firsts, then one loop with no
+    frame per edge: the walk stands at depth k with the color c to try on
+    edge k + 1, and left[k] holds the one color it still has to try there (a
     color has at most two successors), or 0.  ``missing`` counts the colors
     seq does not use yet.  Each depth has one fixed slot in seq and in
     left, so the walk holds O(n + t) state and creates no iterator per
@@ -171,9 +162,9 @@ def _walks(n: int, t: int, cfg: SearchConfig) -> Iterator[tuple[int, ...]]:
     even t in cyclic mode), each edge flips the parity of the color, so a
     closed walk has even length and an odd n yields nothing, at once.
     """
-    if n % 2 and all(d % 2 for d in _steps(t, cfg.mode)):
+    if n % 2 and all(d % 2 for d in _steps(t, mode)):
         return
-    succ = _successor_table(t, cfg.mode)
+    succ = _successor_table(t, mode)
     # each list becomes a pair: the first successor, the second or 0
     for s in succ:
         s += (0, 0)[len(s):]
@@ -181,7 +172,7 @@ def _walks(n: int, t: int, cfg: SearchConfig) -> Iterator[tuple[int, ...]]:
     seen = [0] * (t + 1)
     left = [0] * n
     end = n - 2
-    for first in (1,) if cfg.fix_first_color else range(1, t + 1):
+    for first in firsts:
         seq[0] = first
         seen[first] = 1
         missing = t - 1
@@ -225,9 +216,11 @@ def exists_search(
     n: int, t: int, mode: str = CYCLIC, fix_first_color: bool = False
 ) -> bool:
     """True when some valid coloring of (n, t) exists, by exhaustive search."""
-    cfg = SearchConfig(mode=mode, fix_first_color=fix_first_color)
+    _check_mode(mode)
+    if type(fix_first_color) is not bool:
+        raise ValueError(f"fix_first_color must be a bool, got {fix_first_color!r}")
     _check_search_args(n, t)
-    return next(_walks(n, t, cfg), None) is not None
+    return any(_walks(n, t, mode, (1,) if fix_first_color else range(1, t + 1)))
 
 
 def enumerate_colorings(
@@ -239,12 +232,13 @@ def enumerate_colorings(
         raise ValueError(f"config must be a SearchConfig, got {type(cfg).__name__}")
     _check_search_args(n, t)
     # no list holds more than sys.maxsize colorings: a larger limit cuts none
-    walks = islice(_walks(n, t, cfg), min(cfg.limit or sys.maxsize, sys.maxsize))
+    limit = min(cfg.limit or sys.maxsize, sys.maxsize)
+    walks = islice(_walks(n, t, cfg.mode, range(1, t + 1)), limit)
     return [CycleColoring._trusted(n, t, colors) for colors in walks]
 
 
 def count_colorings(n: int, t: int, mode: str = CYCLIC) -> int:
-    """Total number of valid colorings; never applies symmetry fixing.
+    """Total number of valid colorings, whatever the first edge's color.
 
     Counted in closed form, not by search.  A coloring is a closed walk of
     n steps of +-1 on the color graph: the cycle C_t, or the path P_t in
@@ -299,10 +293,10 @@ def _displacement_sums(n: int, moduli: set[int]) -> dict[int, int]:
 
 def theta_by_search(n: int, mode: str = CYCLIC) -> ThetaSet:
     """Feasible color counts found by exhaustive search over t in [1, n]."""
-    cfg = SearchConfig(mode=mode)
+    _check_mode(mode)
     _check_search_args(n, 1)
     members = tuple(
-        t for t in range(1, n + 1) if next(_walks(n, t, cfg), None) is not None
+        t for t in range(1, n + 1) if any(_walks(n, t, mode, range(1, t + 1)))
     )
     return ThetaSet(n, members, PROVENANCE_SEARCH)
 
@@ -311,8 +305,7 @@ class ComponentSpan(NamedTuple):
     """One maximal run of boundary-colored edges, with its following gap.
 
     ``h_prime_size`` counts the gap edges plus the single boundary edge kept
-    on each side of the gap.  No decomposition stores these:
-    ``ProofDecomposition.components`` builds them from psi on each access.
+    on each side of the gap.
     """
 
     index: int
@@ -327,8 +320,9 @@ class ProofDecomposition(_Record):
 
     Edges colored 1 or t ("boundary" edges) either form one connected block
     around the cycle (case A: y = psi = ()) or fall into m >= 2 runs
-    H_1..H_m (case B).  Six fields are stored: n, t, u_size, rotation, and
-    in case B
+    H_1..H_m (case B).  Six fields are stored: n, t, ``u_size`` (the
+    interior edges: in [0, n), and n minus the run sizes in case B),
+    ``rotation`` (decompose's offset: 0 in case A, else in [0, n)), and in case B
 
     * ``psi``, which alternates run and gap sizes |H_1|, |H'_1|, |H_2|, ...
       around an auxiliary 2m-cycle and sums to n + 2m; each run holds at
@@ -369,13 +363,22 @@ class ProofDecomposition(_Record):
         if not {0, 1}.issuperset(y):
             raise ValueError("y entries must be 0 or 1")
         if psi:
-            m = len(psi) // 2
-            if sum(psi) != n + 2 * m:
-                raise ValueError(f"psi must sum to n + 2m = {_show_int(n + 2 * m)}")
-            if min(psi[0::2]) < 1:
+            runs = psi[0::2]
+            if sum(psi) != n + len(psi):
+                raise ValueError(f"psi must sum to n + 2m = {_show_int(n + len(psi))}")
+            if min(runs) < 1:
                 raise ValueError("every run size |H_q| must be >= 1")
             if min(psi[1::2]) < 3:
                 raise ValueError("every gap size |H'_q| must be >= 3")
+            # every interior edge lies in a gap
+            if u_size != n - sum(runs):
+                shown = _show_int(n - sum(runs))
+                raise ValueError(f"u_size must be n - sum(psi[0::2]) = {shown}")
+        if not 0 <= u_size < n:
+            raise ValueError(f"u_size must lie in [0, {_show_int(n)})")
+        if not 0 <= rotation < (n if psi else 1):
+            shown = _show_int(n)
+            raise ValueError(f"rotation must lie in [0, {shown}), and be 0 in case A")
         set_n, set_t, set_u, set_rotation, set_y, set_psi = self._setters
         set_n(self, n)
         set_t(self, t)
@@ -464,10 +467,7 @@ def decompose(c: CycleColoring) -> ProofDecomposition:
     starts the first run and edge n carries an interior color; ``rotation``
     records the offset.  Raises ValueError when the coloring is not
     cyclic-mode valid.  The per-edge work is done in C-level passes over
-    byte strings that mark the boundary edges.  The result stores psi and y
-    and no per-run object; its ``components``, ``horizontal``, ``m1`` and
-    ``m2`` are derived in O(m) on each access, so bind them once before a
-    loop.
+    byte strings that mark the boundary edges.
     """
     if not verify(c, CYCLIC).mode_satisfied:
         raise ValueError("decompose requires a valid cyclic-mode coloring")

@@ -467,9 +467,25 @@ class TestHugeIntsInMessages:
                 "psi must be empty or have an even length >= 4, and y its "
                 "length; got 2 and 2 entries",
             ),
+            (
+                lambda: ProofDecomposition(
+                    n=HUGE + 2, t=3, u_size=0, rotation=0,
+                    y=(0, 1, 1, 0), psi=(1, 3, 1, HUGE + 1),
+                ),
+                f"u_size must be n - sum(psi[0::2]) = {_shown(HUGE, 5001)}",
+            ),
+            (
+                lambda: ProofDecomposition(HUGE, 3, -1, 0, (), ()),
+                f"u_size must lie in [0, {_shown(HUGE, 5001)})",
+            ),
+            (
+                lambda: ProofDecomposition(HUGE, 3, 0, 1, (), ()),
+                f"rotation must lie in [0, {_shown(HUGE, 5001)}), and be 0 in case A",
+            ),
         ],
         ids=["search-config-limit", "theta-set-span", "decomposition-psi-sum",
-             "decomposition-psi-length"],
+             "decomposition-psi-length", "decomposition-u-size-runs",
+             "decomposition-u-size-range", "decomposition-rotation"],
     )
     def test_helper_refusals(self, call, message):
         with pytest.raises(ValueError) as info:

@@ -17,6 +17,7 @@ from cyclic_chroma import (
     ProofDecomposition,
     SearchBoundExceeded,
     SearchConfig,
+    construct,
     contains,
     count_colorings,
     decompose,
@@ -114,6 +115,18 @@ class TestSearchBound:
         # the count needs no search, but answers under the same bound
         with pytest.raises(SearchBoundExceeded):
             count_colorings(15, 3)
+
+    def test_the_refusal_is_a_value_error(self):
+        # one refusal type for every argument the package refuses
+        assert issubclass(SearchBoundExceeded, ValueError)
+
+    def test_except_value_error_catches_the_refusal(self, monkeypatch):
+        monkeypatch.delenv("CYCLIC_CHROMA_MAX_N", raising=False)
+        with pytest.raises(ValueError) as info:
+            exists_search(15, 3)
+        assert str(info.value) == (
+            "n=15 exceeds the search bound 14 (set CYCLIC_CHROMA_MAX_N to raise it)"
+        )
 
     def test_env_override_down(self, monkeypatch):
         monkeypatch.setenv("CYCLIC_CHROMA_MAX_N", "10")
@@ -228,9 +241,10 @@ class TestEnumerate:
         assert limited == unlimited[:2]
 
     def test_fix_first_color_filters(self):
-        unfixed = enumerate_colorings(6, 4)
-        fixed = enumerate_colorings(6, 4, SearchConfig(fix_first_color=True))
-        assert fixed == [c for c in unfixed if c.colors[0] == 1]
+        # exactly the full walk's tuples that start with color 1, in order
+        full = list(_walks(6, 4, CYCLIC, range(1, 5)))
+        fixed = list(_walks(6, 4, CYCLIC, (1,)))
+        assert fixed and fixed == [colors for colors in full if colors[0] == 1]
 
     def test_count_matches_enumeration(self):
         for n in range(3, 9):
@@ -252,9 +266,11 @@ def _assert_three_counts_agree(sizes) -> None:
     # the depth-first walk are three independent counts
     for n in sizes:
         for mode in (CYCLIC, INTERVAL):
-            cfg = SearchConfig(mode=mode)
             got = [count_colorings(n, t, mode) for t in range(1, n + 1)]
-            walked = [sum(1 for _ in _walks(n, t, cfg)) for t in range(1, n + 1)]
+            walked = [
+                sum(1 for _ in _walks(n, t, mode, range(1, t + 1)))
+                for t in range(1, n + 1)
+            ]
             assert walk_counts(n, mode)[1:] == got == walked, (n, mode)
 
 
@@ -343,7 +359,7 @@ class TestWalkTree:
         got = []
         for t in range(1, 15):
             extended = 0
-            found = sum(1 for _ in _walks(14, t, SearchConfig(mode=mode)))
+            found = sum(1 for _ in _walks(14, t, mode, range(1, t + 1)))
             assert found == counts[t], t
             got.append(extended)
         assert got == NODES_14[mode]
@@ -354,7 +370,7 @@ class TestWalkCleanup:
         gc.collect()
         gc.disable()
         try:
-            walks = [_walks(14, t, SearchConfig()) for t in range(1, 15)]
+            walks = [_walks(14, t, CYCLIC, range(1, t + 1)) for t in range(1, 15)]
             for w in walks:
                 next(w, None)
             del walks, w
@@ -418,17 +434,17 @@ class TestSearchConfig:
             enumerate_colorings(5, 3, config)
 
     def test_fixing_in_interval_mode_keeps_the_walks_from_color_1(self):
-        unfixed = enumerate_colorings(8, 4, SearchConfig(mode=INTERVAL))
-        fixed = enumerate_colorings(8, 4, SearchConfig(INTERVAL, None, True))
-        assert fixed and fixed == [c for c in unfixed if c.colors[0] == 1]
+        full = list(_walks(8, 4, INTERVAL, range(1, 5)))
+        fixed = list(_walks(8, 4, INTERVAL, (1,)))
+        assert fixed and fixed == [colors for colors in full if colors[0] == 1]
 
     @pytest.mark.parametrize("fix", ["no", 1, None, numpy.True_], ids=repr)
     @pytest.mark.parametrize("mode", [CYCLIC, INTERVAL])
     def test_fixing_must_be_a_bool(self, fix, mode):
-        # refused alike in either mode
+        # refused alike in either mode, before n and t are read
         message = f"fix_first_color must be a bool, got {fix!r}"
         with pytest.raises(ValueError) as info:
-            SearchConfig(mode=mode, fix_first_color=fix)
+            exists_search(2, 0, mode, fix_first_color=fix)
         assert str(info.value) == message
 
 
@@ -523,6 +539,35 @@ class TestDecompose:
         # test_two_component_example; the checks must survive python -O
         with pytest.raises(ValueError, match=f"^{message}$"):
             ProofDecomposition(7, 5, 4, 0, y, psi)
+
+    @pytest.mark.parametrize(
+        "u_size, rotation, y, psi, message",
+        [
+            # case B: the interior edges are those outside the runs, 7 - 3
+            (5, 0, Y, (1, 5, 2, 3), r"u_size must be n - sum\(psi\[0::2\]\) = 4"),
+            (4, 7, Y, (1, 5, 2, 3), r"rotation must lie in \[0, 7\), and be 0 in case A"),
+            (4, -1, Y, (1, 5, 2, 3), r"rotation must lie in \[0, 7\), and be 0 in case A"),
+            # case A: some edge has a boundary color, so fewer than n are interior
+            (7, 0, (), (), r"u_size must lie in \[0, 7\)"),
+            (-1, 0, (), (), r"u_size must lie in \[0, 7\)"),
+            (4, 2, (), (), r"rotation must lie in \[0, 7\), and be 0 in case A"),
+        ],
+        ids=[
+            "split-u-size", "split-rotation-past-n", "split-rotation-negative",
+            "connected-u-size-n", "connected-u-size-negative", "connected-rotation",
+        ],
+    )
+    def test_facts_that_contradict_psi_refused(self, u_size, rotation, y, psi, message):
+        # what decompose(CycleColoring(7, 5, ...)) could never return
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ProofDecomposition(7, 5, u_size, rotation, y, psi)
+
+    def test_a_decomposition_keeps_its_own_facts(self):
+        d = decompose(construct(11, 5))
+        assert not d.connected
+        with pytest.raises(ValueError) as info:
+            ProofDecomposition(11, 5, 999, -7, d.y, d.psi)
+        assert str(info.value) == f"u_size must be n - sum(psi[0::2]) = {d.u_size}"
 
     def test_invalid_coloring_rejected(self):
         with pytest.raises(ValueError):

@@ -24,12 +24,12 @@ from cyclic_chroma import (
     verify,
 )
 
-DECOMPOSITION_ARGS = (6, 3, 2, 0, (0, 1, 1, 0), (1, 4, 1, 4))
+DECOMPOSITION_ARGS = (6, 3, 4, 0, (0, 1, 1, 0), (1, 4, 1, 4))
 FIELDS = {
     CycleColoring: ("n", "t", "colors"),
     ThetaSet: ("n", "members", "provenance"),
     VerificationReport: ("violations", "missing_colors"),
-    SearchConfig: ("mode", "limit", "fix_first_color"),
+    SearchConfig: ("mode", "limit"),
     ProofDecomposition: ("n", "t", "u_size", "rotation", "y", "psi"),
 }
 
@@ -113,9 +113,7 @@ def test_repr():
         "Violation(vertex=4, palette=(2, 2), reason='not-proper')), "
         "missing_colors=frozenset())"
     )
-    assert repr(SearchConfig()) == (
-        "SearchConfig(mode='cyclic', limit=None, fix_first_color=False)"
-    )
+    assert repr(SearchConfig()) == "SearchConfig(mode='cyclic', limit=None)"
     assert repr(decompose(construct(7, 7))) == (
         "ProofDecomposition(n=7, t=7, u_size=5, rotation=0, y=(), psi=())"
     )
@@ -165,9 +163,7 @@ def test_positional_and_keyword_construction():
     assert (report.proper, report.surjective, report.mode_satisfied) == (
         False, True, False
     )
-    assert SearchConfig("cyclic", 2, True) == SearchConfig(
-        fix_first_color=True, limit=2, mode="cyclic"
-    )
+    assert SearchConfig("interval", 2) == SearchConfig(limit=2, mode="interval")
     keywords = dict(zip(FIELDS[ProofDecomposition], DECOMPOSITION_ARGS))
     by_keyword = ProofDecomposition(**keywords)
     assert ProofDecomposition(*DECOMPOSITION_ARGS) == by_keyword
@@ -190,7 +186,7 @@ def test_construction_normalises_sequences_to_tuples():
     assert (report.violations, report.missing_colors) == ((violation,), frozenset())
     assert report == VerificationReport((violation,), frozenset())
     assert hash(report) == hash(VerificationReport((violation,), frozenset()))
-    listed = ProofDecomposition(6, 3, 2, 0, [0, 1, 1, 0], [1, 4, 1, 4])
+    listed = ProofDecomposition(6, 3, 4, 0, [0, 1, 1, 0], [1, 4, 1, 4])
     assert (listed.y, listed.psi) == ((0, 1, 1, 0), (1, 4, 1, 4))
     assert listed == ProofDecomposition(*DECOMPOSITION_ARGS)
     assert hash(listed) == hash(ProofDecomposition(*DECOMPOSITION_ARGS))
@@ -198,7 +194,8 @@ def test_construction_normalises_sequences_to_tuples():
 
 def test_search_config_defaults():
     cfg = SearchConfig()
-    assert (cfg.mode, cfg.limit, cfg.fix_first_color) == ("cyclic", None, False)
+    assert (cfg.mode, cfg.limit) == ("cyclic", None)
+    assert SearchConfig.__slots__ == ("mode", "limit")
     assert SearchConfig("interval") == SearchConfig(mode="interval", limit=None)
 
 
@@ -206,7 +203,7 @@ def test_wrong_arguments_are_refused_by_signature():
     with pytest.raises(TypeError):
         CycleColoring(3, 3)
     with pytest.raises(TypeError):
-        SearchConfig("cyclic", None, False, None)
+        SearchConfig("cyclic", None, False)
     with pytest.raises(TypeError):
         ThetaSet(6, (2,), "search", colour=1)
     # the verdicts and m and connected are no fields: a report that would

@@ -65,6 +65,17 @@ def test_only_construct_raises_infeasible():
     }
 
 
+def test_only_enumerate_colorings_reads_a_search_config():
+    # exists_search and theta_by_search hand _walks plain values
+    assert _callers("SearchConfig") == {("oracle.py", "enumerate_colorings")}
+
+
+def test_only_exists_search_pins_the_first_color():
+    # every valid coloring rotates to one that starts with color 1, so the
+    # pin is no setting of the walk or of a config record
+    assert _callers("fix_first_color") == {("oracle.py", "exists_search")}
+
+
 def test_unchecked_feasible_sets_come_from_the_closed_forms():
     # ThetaSet._of_ranges checks none of its ranges, so only the closed
     # forms, whose ranges _split makes right, may call it

@@ -67,7 +67,6 @@ def test_shift_colors_output_passes_the_public_check(c, delta):
     [
         SearchConfig(mode=CYCLIC),
         SearchConfig(mode=INTERVAL),
-        SearchConfig(mode=CYCLIC, fix_first_color=True),
     ],
 )
 def test_enumerate_colorings_output_passes_the_public_check(config):
