@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Set
+from functools import partialmethod
 from itertools import chain
 from math import trunc
 
@@ -61,7 +62,7 @@ REASON_RANGE = "range"
 REASON_FORBIDDEN = "forbidden"
 
 # The largest n whose feasible sets and witnesses are built, and the most
-# members a RangeSet operator copies; beyond it, use contains() or ``in``.
+# members a ThetaSet materializes; beyond it, use contains() or ``in``.
 MATERIALIZE_CAP = 10**6
 
 
@@ -91,22 +92,23 @@ def _int_between(x: object, lo: int, hi: int) -> int:
     return i if type(i) is int and i == x else lo - 1
 
 
-class ThetaSet(_Record):
-    """A finite set of feasible color counts for one cycle size.
+class ThetaSet(_Record, Set):
+    """A read-only set of feasible or forbidden color counts for one cycle size.
 
-    Every set holds its members as ascending ranges, its parts.  A closed
-    form builds one in O(1) from its one or two ranges, unchecked;
-    ``members`` is built on its first read and then kept.  One built by
-    hand checks n and every member (plain ints, no bool, as in
-    CycleColoring) in O(|members|), keeps the checked tuple as its
-    ``members``, and splits it into maximal runs of one step: one part for
-    a progression, about |members|/2 at worst (2, 3, 5, 8, 13 holds 3).
-    Pickling and copying rebuild a set by hand, so a copy of a closed form
-    holds ranges too.  ``len``, ``bool``, iteration and ``in`` work from
-    the parts; ``in`` maps a non-int probe to the int it equals in O(1),
-    then takes O(1) per part.  ``==`` and ``hash`` are the record's, over
-    n, ``members`` and provenance, so they build ``members`` of a closed
-    form that has not yet read it: O(|members|) on the first comparison.
+    Its parts are the maximal runs of one step that ``_runs`` cuts the
+    members into, none empty.  A closed form builds them in O(1), unchecked,
+    and ``members`` on its first read, refused past MATERIALIZE_CAP members.
+    One built by hand checks n and every member (plain ints, no bool) in
+    O(|members|) and keeps the checked tuple as ``members``: one part for a
+    progression, about |members|/2 at worst (2, 3, 5, 8, 13 holds 3).
+    A pickle or copy keeps n, the parts and provenance, checked in O(#parts).
+
+    No comparison reads ``n`` or ``provenance``.  ``in`` maps a non-int
+    probe to the int it equals, then takes O(1) per part.  ``==`` between
+    ThetaSets compares parts; against another Set, ``==`` and ``<= < >= >``
+    compare sizes, which never overflow, then pass once over the smaller
+    side, stopping at its first member that the other side lacks.  ``hash``
+    is the frozenset's, and ``| & - ^`` return a plain ``set`` of ``members``.
     """
 
     __slots__ = ("n", "_parts", "provenance", "_members")
@@ -129,19 +131,42 @@ class ThetaSet(_Record):
 
     @classmethod
     def _of_ranges(cls, n: int, *parts: range) -> ThetaSet:
-        """The closed-form set that is the union of ascending ranges; checks
-        nothing, since its callers pass ranges in [2, n] as _split makes them."""
+        """The closed-form set over parts, less an empty last one; checks nothing:
+        its callers pass the maximal runs in [2, n] that _split makes."""
         s = object.__new__(cls)
         set_n, set_parts, set_provenance, set_members = cls._setters
         set_n(s, n)
-        set_parts(s, parts)
+        set_parts(s, parts if parts[-1] else parts[:-1])
         set_provenance(s, PROVENANCE_FORMULA)
+        set_members(s, None)
+        return s
+
+    @classmethod
+    def _of_parts(cls, n: int, parts: tuple[range, ...], provenance: str) -> ThetaSet:
+        """The set a pickle or copy rebuilds: n and provenance checked as by
+        hand, parts as nonempty ascending ranges in [2, n] and maximal runs:
+        a run of one member comes last, and no run goes on into the next."""
+        s = cls(n, (), provenance)
+        ranges = type(parts) is tuple and all(
+            type(p) is range and p and p.step > 0 for p in parts
+        )
+        maximal = ranges and all(
+            p[1:2] and 0 < q[0] - p[-1] != p.step for p, q in zip(parts, parts[1:])
+        )
+        if not maximal or parts and not 2 <= parts[0][0] <= parts[-1][-1] <= n:
+            raise ValueError(f"parts must be maximal runs in [2, {_show_int(n)}]")
+        set_parts, set_members = cls._setters[1::2]
+        set_parts(s, parts)
         set_members(s, None)
         return s
 
     @property
     def members(self) -> tuple[int, ...]:
         if self._members is None:
+            size = self._size()
+            if size > MATERIALIZE_CAP:
+                shown = f"a set of {_show_int(size)} members (cap {MATERIALIZE_CAP})"
+                raise ValueError(f"refusing to materialize {shown}")
             set_members = self._setters[3]
             set_members(self, tuple(chain.from_iterable(self._parts)))
         return self._members
@@ -157,8 +182,70 @@ class ThetaSet(_Record):
     def __iter__(self):
         return chain.from_iterable(self._parts)
 
-    def __len__(self) -> int:
-        return sum(map(len, self._parts))
+    def _size(self) -> int:
+        """The member count, from the parts' ends; len() overflows past sys.maxsize."""
+        return sum([(p[-1] - p[0]) // p.step + 1 for p in self._parts])
+
+    __len__ = _size
+
+    def __bool__(self) -> bool:
+        return bool(self._parts)
+
+    def _compare(self, other: object, op, subset: bool):
+        """self op other for == <= < (subset) or >= > (superset)."""
+        if not isinstance(other, Set):
+            return NotImplemented
+        size = other._size() if isinstance(other, ThetaSet) else len(other)
+        if not op(self._size(), size):
+            return False
+        small, large = (self, other) if subset else (other, self)
+        return all(map(large.__contains__, small))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ThetaSet):
+            return self._parts == other._parts
+        return self._compare(other, operator.eq, True)
+
+    __le__ = partialmethod(_compare, op=operator.le, subset=True)
+    __lt__ = partialmethod(_compare, op=operator.lt, subset=True)
+    __ge__ = partialmethod(_compare, op=operator.ge, subset=False)
+    __gt__ = partialmethod(_compare, op=operator.gt, subset=False)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.members))
+
+    def _operate(self, other: object, op) -> set:
+        return op(set(self.members), other)
+
+    # | & ^ are symmetric, and set refuses an operand that set refuses
+    __or__ = __ror__ = partialmethod(_operate, op=operator.or_)
+    __and__ = __rand__ = partialmethod(_operate, op=operator.and_)
+    __xor__ = __rxor__ = partialmethod(_operate, op=operator.xor)
+    __sub__ = partialmethod(_operate, op=operator.sub)
+
+    def __rsub__(self, other: object) -> set:
+        if not isinstance(other, (set, frozenset)):
+            return NotImplemented
+        return set(other) - set(self.members)
+
+    def __repr__(self) -> str:
+        # one text at every size, the same for equal parts however built
+        shown = ", ".join(map(_show_range, self._parts))
+        if len(self._parts) == 1:
+            shown += ","
+        return (
+            f"{type(self).__qualname__}(n={_show_int(self.n)}, parts=({shown}), "
+            f"provenance={self.provenance!r})"
+        )
+
+    def __reduce__(self):
+        return type(self)._of_parts, (self.n, self._parts, self.provenance)
+
+
+def _show_range(r: range) -> str:
+    """r as range(first, last + 1[, step]), every int as _show_int shows it."""
+    step = f", {_show_int(r.step)}" if r.step != 1 and r[1:2] else ""
+    return f"range({_show_int(r[0])}, {_show_int(r[-1] + 1)}{step})"
 
 
 def _runs(members: tuple[int, ...]) -> tuple[range, ...]:
@@ -183,104 +270,6 @@ def _runs(members: tuple[int, ...]) -> tuple[range, ...]:
         last = t
     parts.append(range(first, last + 1, step or 1))
     return tuple(parts)
-
-
-def _size(s: Set) -> int:
-    """len(s), but a RangeSet's from its bounds: len() of a range overflows."""
-    if isinstance(s, RangeSet):
-        r = s._range
-        return max(0, -((r.start - r.stop) // r.step))
-    return len(s)
-
-
-def _set_operator(op):
-    """A set operator for RangeSet: it works on a set of the members."""
-
-    def forward(self, other):
-        return op(self._materialize(), other)
-
-    def reflected(self, other):
-        if not isinstance(other, (set, frozenset)):
-            return NotImplemented
-        return op(set(other), self._materialize())
-
-    return forward, reflected
-
-
-def _within(small: Set, large: Set) -> bool:
-    """small <= large: one pass over small, or O(1) for two RangeSets."""
-    if isinstance(small, RangeSet) and isinstance(large, RangeSet):
-        # a range's first two members fix its step and residue, its last its end
-        r = small._range
-        return all(map(large.__contains__, (*r[:2], *r[-1:])))
-    return all(map(large.__contains__, small))
-
-
-def _order(op, subset):
-    """RangeSet's == <= < (subset) or >= > (superset): sizes, then _within."""
-
-    def compare(self, other):
-        if not isinstance(other, Set):
-            return NotImplemented
-        small, large = (self, other) if subset else (other, self)
-        return op(_size(self), _size(other)) and _within(small, large)
-
-    return compare
-
-
-class RangeSet(Set):
-    """A read-only set of the members of one ascending ``range``.
-
-    ``in``, ``len`` and ``bool`` are O(1) and iteration is ascending.  ``==``
-    and ``<= < >= >`` against another Set, at any size, are one size test
-    and one C-level membership pass over the smaller side, or O(1) against
-    a RangeSet.  ``| & - ^`` return a plain ``set``, and refuse a range of
-    more than MATERIALIZE_CAP members with ValueError.  Unhashable.
-    """
-
-    __slots__ = ("_range",)
-
-    def __init__(self, members: range) -> None:
-        if members.step <= 0:
-            raise ValueError("a RangeSet needs an ascending range")
-        self._range = members
-
-    def __contains__(self, x: object) -> bool:
-        r = self._range
-        if type(x) is not int:
-            hash(x)  # an unhashable probe raises TypeError, as for a set
-            x = _int_between(x, r.start, r.stop - 1)
-        return x in r
-
-    def __iter__(self):
-        return iter(self._range)
-
-    def __len__(self) -> int:
-        return len(self._range)
-
-    def __bool__(self) -> bool:
-        return bool(self._range)
-
-    __eq__ = _order(operator.eq, True)
-    __le__, __lt__ = _order(operator.le, True), _order(operator.lt, True)
-    __ge__, __gt__ = _order(operator.ge, False), _order(operator.gt, False)
-
-    __hash__ = None
-
-    __or__, __ror__ = _set_operator(operator.or_)
-    __and__, __rand__ = _set_operator(operator.and_)
-    __sub__, __rsub__ = _set_operator(operator.sub)
-    __xor__, __rxor__ = _set_operator(operator.xor)
-
-    def _materialize(self) -> set:
-        size = _size(self)
-        if size > MATERIALIZE_CAP:
-            shown = f"a set of {_show_int(size)} members"
-            raise ValueError(f"refusing to materialize {shown} (cap {MATERIALIZE_CAP})")
-        return set(self._range)
-
-    def __repr__(self) -> str:
-        return f"RangeSet({self._range!r})"
 
 
 def _check_cap(n: int, what: str) -> None:
@@ -318,23 +307,26 @@ def _gap(n: int) -> range:
     return range(s + (n - s + 1) % 2, n, 2)
 
 
-def forbidden_set(n: int) -> RangeSet:
+def forbidden_set(n: int) -> ThetaSet:
     """Color counts in [chi', n] admitting no cyclic-mode coloring (n >= 3).
 
     Odd n: the even t in [4, n-1].  Even n: the odd t in [n/2+2, n-1].
     Both ranges are empty for n = 3 and 4, so the set is empty there.
-    A read-only RangeSet over _gap(n): O(1) to build, ``in`` and ``len``,
-    for every n; it compares equal to the plain set of its members.
+    A ThetaSet of the one part _gap(n), O(1) to build for every n, uncapped.
     """
-    return RangeSet(_gap(n))
+    return ThetaSet._of_ranges(n, _gap(n))
 
 
 def theta_cyclic(n: int) -> ThetaSet:
     """All color counts admitting a cyclic-mode coloring of the n-edge cycle."""
     chi, s = _split(n)
     _check_cap(n, "a feasible set")
-    zigzags = range(s + (n - s) % 2, n + 1, 2)
-    return ThetaSet._of_ranges(n, range(chi, s), zigzags)
+    if n % 2:  # no tent: the zigzags from chi are one run
+        return ThetaSet._of_ranges(n, range(chi, n + 1, 2))
+    # the tent's run [chi, s) takes in s when s is a zigzag (n - s even);
+    # the other zigzags, every second t from there to n, make the second run
+    end = s + 1 - (n - s) % 2
+    return ThetaSet._of_ranges(n, range(chi, end), range(end + 1, n + 1, 2))
 
 
 def theta_interval(n: int) -> ThetaSet:

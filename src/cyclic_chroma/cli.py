@@ -13,6 +13,7 @@ diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -37,14 +38,9 @@ from .oracle import (
 from .verifier import CYCLIC, MODES, verify
 
 
-def _int_digit_limit() -> int:
-    """The most digits int() and str() convert; 0 for no limit (before 3.10.7)."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
 def _require_printable(value: int, label: str) -> None:
     """Refuse an int that str() and json.dumps would refuse for its length."""
-    limit = _int_digit_limit()
+    limit = sys.get_int_max_str_digits()  # 0: no limit
     # 10**limit > 2**(3 * limit): a shorter int needs no power of ten built
     if limit and value.bit_length() > 3 * limit and value >= 10**limit:
         raise ValueError(
@@ -64,7 +60,7 @@ def _plain_int(name: str):
             raise argparse.ArgumentTypeError(
                 f"{text!r} is not an unsigned integer without leading zeros"
             )
-        limit = _int_digit_limit()
+        limit = sys.get_int_max_str_digits()
         if limit and len(text) > limit:
             raise OverflowError(
                 f"{name} has {len(text)} digits, "
@@ -319,6 +315,10 @@ def decompose(src: str | None, as_json: bool) -> int:
 def main(argv: list[str] | None = None) -> int:
     """Interval-like edge colorings of simple cycles: closed formulas,
     canonical witnesses, verification, and an exhaustive-search oracle."""
+    for stream in (sys.stdout, sys.stderr):
+        # UTF-8 whatever the locale: an ASCII or C locale refuses "Θ" and "✓"
+        if isinstance(stream, io.TextIOWrapper):
+            stream.reconfigure(encoding="utf-8", errors=stream.errors)
     parser = argparse.ArgumentParser(
         prog="cyclic-chroma", description=main.__doc__, allow_abbrev=False
     )

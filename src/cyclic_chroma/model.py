@@ -4,9 +4,9 @@ A cycle with n edges uses 1-based circular indexing: edge i joins vertices
 i and i+1 (vertex n+1 wraps to vertex 1), so vertex i is incident to edges
 i-1 and i (edge 0 wraps to edge n).  Colors are integers in [1, t].
 All values are immutable and every operation is pure.  The package's two
-private memos, a coloring's ``_walk`` and a closed-form ``ThetaSet``'s
-``_members``, are no fields and change no result; each is written with
-one value, so two threads that fill one at once store equal values.
+private memos, a coloring's ``_walk`` and a ``ThetaSet``'s ``_members``,
+which a set not built by hand fills on its first read, change no result;
+each holds one value, so two threads that fill one at once store equal ones.
 
 The public ``CycleColoring(n, t, colors)`` constructor is the one strict
 boundary: n, t and every color must be ints (int subclasses such as an
@@ -55,9 +55,9 @@ def _require_ints(values: tuple, label: str) -> None:
 def _show_int(x: object) -> str:
     """x for a message: str(x), or, for an int str() refuses, its digit count.
 
-    From Python 3.10.7 on, str() refuses an int longer than
-    sys.get_int_max_str_digits() digits; such an int is shown as, say,
-    "<a 5001-digit integer>", so a refusal still reports its own message.
+    str() refuses an int longer than sys.get_int_max_str_digits() digits;
+    such an int is shown as, say, "<a 5001-digit integer>", so a refusal
+    still reports its own message.
     """
     try:
         return str(x)
@@ -96,10 +96,10 @@ class _Record:
     one is no slot.  ``_setters`` holds each slot's own ``__set__``, in
     ``__slots__`` order, and is how the subclass's ``__init__`` sets them.
     Setting or deleting any attribute raises AttributeError, which says
-    "field" only for a name in ``_names``.  ``==`` holds between
-    two records of the same class whose fields are equal, ``hash`` is that of
-    the tuple of fields, and ``repr`` names every field.  Pickling and copying
-    rebuild a record through its ``__init__``, from its fields in order.
+    "field" only for a name in ``_names``.  ``==`` holds between two records
+    of the same class whose fields are equal, ``hash`` is that of the tuple of
+    fields, ``repr`` names every field, and a pickle or copy is rebuilt through
+    ``__init__`` from the fields in order; a ThetaSet does these four as a set.
     """
 
     __slots__ = ()

@@ -332,6 +332,8 @@ class ProofDecomposition(_Record):
       (0 for color 1, 1 for color t).
 
     ``y`` and ``psi`` are stored as tuples, whatever sequence is given.
+    n, t, ``u_size`` and ``rotation`` must be ints (bool refused), with
+    n >= 3 and t in [1, n]; a bad one is refused before any other check.
 
     The rest is read off these two: ``connected`` (psi is empty), ``m``
     (half the length of psi, or 1 in case A), ``components`` lists each
@@ -354,6 +356,11 @@ class ProofDecomposition(_Record):
         y: tuple[int, ...],
         psi: tuple[int, ...],
     ) -> None:
+        _check_n(n)
+        _require_int(t, "'t'")
+        _check_t(n, t)
+        _require_int(u_size, "'u_size'")
+        _require_int(rotation, "'rotation'")
         y, psi = tuple(y), tuple(psi)
         if len(psi) % 2 or len(psi) == 2 or len(y) != len(psi):
             raise ValueError(

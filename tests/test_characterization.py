@@ -318,6 +318,33 @@ class TestThetaSet:
         with pytest.raises(ValueError, match="cycle size must be >= 3, got 2"):
             ThetaSet(2, (2,), "search")
 
+    @pytest.mark.parametrize(
+        "n, parts, provenance, message",
+        [
+            # not maximal: 6 goes on from 2..5, and 3 alone is not the last run
+            (8, (range(2, 6), range(6, 9, 2)), "formula", "maximal runs"),
+            (8, (range(3, 4), range(5, 9)), "formula", "maximal runs"),
+            (8, (range(2, 5), range(5, 5)), "formula", "maximal runs"),
+            (8, (range(6, 2, -1),), "formula", "maximal runs"),
+            (8, [range(2, 5)], "formula", "maximal runs"),
+            (8, ((2, 3, 4),), "formula", "maximal runs"),
+            (8, (range(6, 9), range(2, 4)), "formula", "maximal runs"),
+            (8, (range(1, 4),), "formula", "maximal runs"),
+            (8, (range(2, 10),), "formula", "maximal runs"),
+            (2, (), "formula", "cycle size must be >= 3"),
+            (8.0, (), "formula", "'n' must be an integer"),
+            (8, (), "guess", "unknown provenance"),
+        ],
+    )
+    def test_a_pickle_is_refused_unless_its_parts_are_maximal_runs(
+        self, n, parts, provenance, message
+    ):
+        # what a pickle or copy carries is checked in O(#parts) on loading
+        reduce, args = ThetaSet(8, (2, 3, 4), "search").__reduce__()
+        with pytest.raises(ValueError, match=message):
+            reduce(n, parts, provenance)
+        assert reduce(*args) == {2, 3, 4} and reduce(8, (), "search") == set()
+
     def test_container_protocol(self):
         ts = ThetaSet(6, (2, 3, 4, 6), "formula")
         assert 4 in ts and 5 not in ts

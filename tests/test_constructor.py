@@ -201,7 +201,7 @@ class TestConstruct:
 # ---------------------------------------------------------------------------
 # The text of a refusal, written out here from chi', n and the parity gap.
 
-_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_STR_DIGITS = sys.get_int_max_str_digits()  # 0 when the limit is off
 _STR_LIMIT = 10**_STR_DIGITS  # the least int that str() refuses
 
 

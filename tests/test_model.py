@@ -1,14 +1,16 @@
 import json
 import operator
+import pickle
 import re
 import sys
+from collections.abc import Hashable
 from decimal import Decimal
 from enum import IntEnum
 from fractions import Fraction
 
 import numpy
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loop_reference
@@ -27,9 +29,11 @@ from cyclic_chroma import (
     exists_search,
     forbidden_set,
     tent,
+    theta_cyclic,
+    theta_interval,
     zigzag_staircase,
 )
-from cyclic_chroma.characterization import RangeSet
+from cyclic_chroma.characterization import _gap, _show_range
 from cyclic_chroma.model import _show_int
 
 
@@ -84,26 +88,104 @@ class TestSgnNat:
         assert loop_reference.sgn_nat(7) == 1
 
 
+def _reference(members, n=None):
+    """A ThetaSet of members, hand-built, and the frozenset it must act as."""
+    members = tuple(sorted(members))
+    n = max((3, *members)) if n is None else n
+    return ThetaSet(n, members, "search"), frozenset(members)
+
+
+@st.composite
+def theta_sets(draw):
+    """(a ThetaSet, frozenset of its members): built by hand, a closed form
+    for n <= 300, or forbidden_set for n up to 10**6."""
+    kind = draw(st.sampled_from(["hand", "closed", "forbidden"]))
+    if kind == "hand":
+        n = draw(st.integers(3, 60))
+        members = draw(st.sets(st.integers(2, n)))
+        return _reference(members, n)
+    if kind == "closed":
+        n = draw(st.integers(3, 300))
+        build = draw(st.sampled_from([theta_cyclic, theta_interval, forbidden_set]))
+    else:
+        n = draw(st.integers(2, 20).flatmap(lambda k: st.integers(3, min(2**k, 10**6))))
+        build = forbidden_set
+    ts = build(n)
+    return ts, frozenset(ts.members)
+
+
+SET_OPERATORS = [operator.or_, operator.and_, operator.sub, operator.xor]
+COMPARISONS = [
+    operator.eq, operator.ne, operator.le, operator.lt, operator.ge, operator.gt
+]
+
+
+@settings(deadline=None)
+@given(theta_sets(), st.data())
+def test_a_theta_set_acts_as_the_frozenset_of_its_members(drawn, data):
+    ts, ref = drawn
+    assert len(ts) == len(ref) and bool(ts) == bool(ref)
+    assert list(ts) == sorted(ref)
+    assert hash(ts) == hash(ref)
+    near = sorted(ref)[:6] + sorted(ref)[-6:] + [0, 1, 2, 3, ts.n, ts.n + 1]
+    for x in near:
+        assert (x in ts) == (x in ref), x
+        for probe in (float(x), numpy.int64(x), str(x)):
+            assert (probe in ts) == (probe in ref), repr(probe)
+    assert (True in ts) == (True in ref) and (None in ts) == (None in ref)
+    # another set: drawn near ts's members, or ts's own members with one
+    # more or one fewer, so that equal and subset cases come up
+    pool = st.sampled_from(near) | st.integers(-2, ts.n + 2)
+    members = data.draw(st.sets(pool, max_size=8) | st.sampled_from(
+        [ref, ref | {ts.n + 1}, ref - {min(ref, default=0)}]
+    ))
+    plain = frozenset(members)
+    others = [set(plain), plain, dict.fromkeys(plain).keys()]
+    if all(x >= 2 for x in plain):
+        others.append(_reference(plain)[0])
+    for other in others:
+        name = type(other).__name__
+        for op in COMPARISONS:
+            assert op(ts, other) == op(ref, plain), (name, op)
+            assert op(other, ts) == op(plain, ref), (name, op)
+        assert ts.isdisjoint(other) == ref.isdisjoint(plain), name
+        assert other.isdisjoint(ts) == plain.isdisjoint(ref), name
+        for op in SET_OPERATORS:
+            forward, reflected = op(ts, other), op(other, ts)
+            assert type(forward) is set and forward == op(ref, plain), (name, op)
+            assert type(reflected) is set and reflected == op(plain, ref), (name, op)
+        if ts == other and isinstance(other, Hashable):
+            assert hash(ts) == hash(other), name
+
+
 class TestRangeSet:
-    CASES = [range(4, 9, 2), range(7, 10, 2), range(2, 3), range(5, 5), range(-3, 12, 3)]
+    """ThetaSets of one range, as forbidden_set builds them, at every size."""
+
+    CASES = [range(4, 9, 2), range(7, 10, 2), range(2, 3), range(5, 5), range(3, 13, 3)]
+
+    @staticmethod
+    def one_range(r, n=12):
+        """The set of r's members, checked as a pickle's parts are."""
+        return ThetaSet._of_parts(n, (r,) if r else (), "search")
 
     @pytest.mark.parametrize("r", CASES)
     def test_equal_to_the_set_of_the_range(self, r):
-        rs, plain = RangeSet(r), set(r)
+        rs, plain = self.one_range(r), set(r)
         assert rs == plain and plain == rs
         assert rs == frozenset(r) and frozenset(r) == rs
         assert not rs != plain and not plain != rs
         assert rs != plain | {100} and plain | {100} != rs
-        assert rs == RangeSet(range(r.start, r.stop, r.step))
+        assert rs == ThetaSet(12, tuple(r), "formula")
+        assert hash(rs) == hash(frozenset(r))
         assert len(rs) == len(plain)
         assert bool(rs) == bool(plain)
         assert list(rs) == sorted(plain)
 
     @pytest.mark.parametrize("r", CASES)
     def test_operators_in_both_orders_return_sets(self, r):
-        rs, plain = RangeSet(r), set(r)
+        rs, plain = self.one_range(r), set(r)
         others = [{4, 5, 6, 100}, frozenset({7, 8}), set(), plain]
-        others += [RangeSet(range(1, 12, 3)), RangeSet(range(-3, 12, 2)), RangeSet(r)]
+        others += [self.one_range(range(4, 12, 3)), self.one_range(range(3, 12, 2)), rs]
         for other in others:
             for op, name, kind in [
                 (lambda a, b: a | b, "|", set),
@@ -119,23 +201,21 @@ class TestRangeSet:
                 assert type(forward) is kind and type(reflected) is kind, name
                 assert forward == op(plain, set(other)), name
                 assert reflected == op(set(other), plain), name
-        assert type(rs | RangeSet(range(1, 3))) is set
-        assert rs | RangeSet(range(1, 3)) == plain | {1, 2}
+        assert type(rs | self.one_range(range(2, 4))) is set
+        assert rs | self.one_range(range(2, 4)) == plain | {2, 3}
 
     def test_operators_refuse_non_sets_like_set(self):
-        rs = RangeSet(range(4, 9, 2))
+        rs = self.one_range(range(4, 9, 2))
         for bad in ([1], (1,), "1"):
             with pytest.raises(TypeError):
                 rs | bad
             with pytest.raises(TypeError):
                 bad - rs
 
-    def test_read_only_and_unhashable(self):
-        rs = RangeSet(range(4, 9, 2))
-        with pytest.raises(TypeError):
-            hash(rs)
-        with pytest.raises(TypeError):
-            {rs}
+    def test_read_only_and_hashed_like_a_frozenset(self):
+        rs = self.one_range(range(4, 9, 2))
+        assert hash(rs) == hash(frozenset({4, 6, 8}))
+        assert {rs, frozenset({4, 6, 8})} == {rs}
         for method in ("add", "discard", "remove", "update", "union", "clear"):
             assert not hasattr(rs, method), method
         with pytest.raises(AttributeError):
@@ -148,10 +228,15 @@ class TestRangeSet:
         assert bool(rs)
         assert rs != set() and set() != rs
         assert rs != {4, 5} and frozenset({n - 1}) != rs
-        assert rs == RangeSet(rs._range)
+        assert rs == pickle.loads(pickle.dumps(rs)) and rs._parts == (_gap(n),)
         assert rs != {}.keys() and {}.keys() != rs
+        assert repr(rs) == (
+            f"ThetaSet(n={n}, parts=({_show_range(_gap(n))},), provenance='formula')"
+        )
         with pytest.raises(OverflowError):
             len(rs)
+        with pytest.raises(ValueError, match="refusing to materialize"):
+            hash(rs)
 
     @pytest.mark.parametrize("n", [10**20, 10**20 + 1])
     def test_order_comparisons_past_sys_maxsize(self, n):
@@ -161,12 +246,13 @@ class TestRangeSet:
         assert not rs < {1} and not {1} > rs
         assert rs > set() and set() < rs
         assert rs >= {n - 1} and not rs >= {n - 1, n}
-        # two RangeSets compare in O(1), whatever their sizes
-        wider = RangeSet(range(rs._range.start, 2 * n, rs._range.step))
-        assert rs <= wider and rs < wider and wider >= rs and wider > rs
-        assert not wider <= rs and rs != wider and rs == forbidden_set(n)
-        shifted = RangeSet(range(rs._range.start + 1, n, rs._range.step))
-        assert not rs <= shifted and not shifted <= rs
+        # sizes decide first, then a pass stops at the first member missing
+        gap = _gap(n)
+        wider = self.one_range(range(gap.start, 2 * n, gap.step), 2 * n)
+        assert not wider <= rs and not rs > wider and rs != wider
+        assert rs == forbidden_set(n) and wider != forbidden_set(n)
+        shifted = self.one_range(range(gap.start + 1, n, gap.step), n)
+        assert not rs <= shifted and not shifted <= rs and not wider <= shifted
 
     def test_operators_refuse_a_range_past_the_cap(self):
         rs = forbidden_set(10**9)
@@ -176,6 +262,8 @@ class TestRangeSet:
                 op(rs, {1})
             with pytest.raises(ValueError, match=message):
                 op({1}, rs)
+        with pytest.raises(ValueError, match=message):
+            rs.members
         below = forbidden_set(2 * 10**6)
         assert below | {1} == {1, *range(10**6 + 3, 2 * 10**6, 2)}
         assert {1} | below == below | {1}
@@ -188,7 +276,9 @@ class TestRangeSet:
 
     def test_rejects_a_descending_range(self):
         with pytest.raises(ValueError):
-            RangeSet(range(9, 3, -2))
+            self.one_range(range(9, 3, -2))
+        with pytest.raises(ValueError):
+            ThetaSet(12, tuple(range(9, 3, -2)), "search")
 
     def test_non_int_probes_answer_like_a_set(self):
         probes = [
@@ -198,17 +288,15 @@ class TestRangeSet:
             # no __index__ and no __trunc__
             numpy.True_, numpy.False_, numpy.float32(3), numpy.float32(2.5),
         ]
-        for r in (range(1, 9), range(0, 9)):
-            rs, plain = RangeSet(r), set(r)
+        for r in (range(2, 9), range(3, 9, 2)):
+            rs, plain = self.one_range(r), set(r)
             for x in probes:
                 assert (x in rs) == (x in plain), (r, x)
-        with pytest.raises(TypeError):
-            [] in rs
-        with pytest.raises(TypeError):
-            Decimal("sNaN") in rs
+        # a probe that a set cannot hash is answered as by the members tuple
+        assert [] not in rs and Decimal("sNaN") not in rs
 
     def test_a_probe_makes_few_comparisons(self):
-        rs = RangeSet(range(0, 2 * 10**6, 2))
+        rs = forbidden_set(2 * 10**6 + 1)
         for value in (10, 11, -4, 2 * 10**6, 10**18):
             probe = CountingProbe(value)
             assert (probe in rs) == (value in rs)
@@ -395,8 +483,8 @@ class TestShiftColors:
         assert all(1 <= x <= c.t for x in shifted.colors)
 
 
-# from Python 3.10.7 on, str() refuses an int longer than this many digits
-_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+# str() refuses an int longer than this many digits; 0 when the limit is off
+_STR_DIGITS = sys.get_int_max_str_digits()
 HUGE = 10**5000
 
 

@@ -562,6 +562,31 @@ class TestDecompose:
         with pytest.raises(ValueError, match=f"^{message}$"):
             ProofDecomposition(7, 5, u_size, rotation, y, psi)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((7, 999, 4, 0, (), ()), r"color count must lie in \[1, 7\], got t=999"),
+            ((7, 0, 4, 0, (), ()), r"color count must lie in \[1, 7\], got t=0"),
+            ((7, 5, 4.0, 0, (), ()), r"'u_size' must be an integer, got 4.0"),
+            ((7, 5, True, 0, (), ()), r"'u_size' must be an integer, got True"),
+            ((7, 5, 4, False, (), ()), r"'rotation' must be an integer, got False"),
+            ((7, 5, 4, None, (), ()), r"'rotation' must be an integer, got None"),
+            (("7", 5, 4, 0, (), ()), r"'n' must be an integer, got '7'"),
+            ((None, 5, 4, 0, (), ()), r"'n' must be an integer, got None"),
+            ((2, 2, 1, 0, (), ()), r"cycle size must be >= 3, got 2"),
+            ((7, "5", 4, 0, (), ()), r"'t' must be an integer, got '5'"),
+            ((7, 5.0, 4, 0, (), ()), r"'t' must be an integer, got 5.0"),
+        ],
+        ids=[
+            "t-above-n", "t-zero", "u-size-float", "u-size-bool", "rotation-bool",
+            "rotation-none", "n-str", "n-none", "n-below-three", "t-str", "t-float",
+        ],
+    )
+    def test_bad_scalar_fields_refused(self, fields, message):
+        # refused with ValueError before psi is read; the check must survive python -O
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ProofDecomposition(*fields)
+
     def test_a_decomposition_keeps_its_own_facts(self):
         d = decompose(construct(11, 5))
         assert not d.connected

@@ -63,6 +63,20 @@ def test_golden_decompose_reports(name):
         assert (code, out) == (0, golden.with_suffix(ext).read_bytes()), ext
 
 
+# the text is UTF-8 whatever the locale, as the goldens hold it: Θ in theta's
+# line and Σψ and ✓ in decompose's last line
+@pytest.mark.parametrize(
+    "env",
+    [{"PYTHONIOENCODING": "ascii"}, {"LC_ALL": "C", "PYTHONUTF8": "0"}],
+    ids=["ascii-io", "c-locale"],
+)
+def test_text_is_utf8_under_any_locale(env):
+    theta = "Θ(C(6)) = {2,3,4,6}  w_cyc=2 W_cyc=6\n".encode("utf-8")
+    assert run("theta", 6, env=env) == (0, theta, b"")
+    golden = (DATA / "decompose" / "make-11-5.txt").read_bytes()
+    assert run("decompose", stdin=made(11, 5), env=env) == (0, golden, b"")
+
+
 # each golden is named make-N-T-edgeE-colorC: make N T with edge E recolored
 # C; check exits 1, says nothing on stderr and prints the golden's bytes
 @pytest.mark.parametrize("name", sorted(p.stem for p in (DATA / "check").glob("*.txt")))

@@ -2,7 +2,8 @@
 
 Equality, hashing, repr, frozenness, construction and pickling are pinned
 here by their observable results, so the way the classes are built can
-change without any of it changing.
+change without any of it changing.  A ThetaSet is a record that compares
+as the set of its members, whatever its n and provenance.
 """
 
 import copy
@@ -88,8 +89,7 @@ def test_a_subclass_is_another_class():
 
 def test_different_fields_are_unequal():
     assert CycleColoring(4, 2, (1, 2, 1, 2)) != CycleColoring(4, 2, (2, 1, 2, 1))
-    assert ThetaSet(6, (2, 3), "formula") != ThetaSet(6, (2, 3), "search")
-    assert ThetaSet(6, (2, 3), "formula") != ThetaSet(7, (2, 3), "formula")
+    assert ThetaSet(6, (2, 3), "formula") != ThetaSet(6, (2, 4), "formula")
     assert SearchConfig() != SearchConfig(limit=1)
     assert verify(construct(6, 3)) != verify(CycleColoring(4, 2, (1, 1, 2, 2)))
     assert decompose(construct(8, 3)) != decompose(construct(8, 4))
@@ -100,12 +100,27 @@ def test_closed_form_set_equals_one_built_by_hand():
     assert hash(theta_cyclic(6)) == hash(ThetaSet(6, (2, 3, 4, 6), "formula"))
 
 
+def test_a_theta_set_compares_by_its_members_alone():
+    # n and provenance say where a set comes from; == and hash read neither
+    by_search = ThetaSet(6, (2, 3), "search")
+    for other in (ThetaSet(6, (2, 3), "formula"), ThetaSet(7, (2, 3), "formula")):
+        assert by_search == other and not by_search != other
+        assert hash(by_search) == hash(other)
+    assert by_search == {2, 3} == frozenset({2, 3}) == {2: 0, 3: 0}.keys()
+    assert hash(by_search) == hash(frozenset({2, 3}))
+    assert len({by_search, frozenset({2, 3})}) == 1
+
+
 def test_repr():
     assert repr(CycleColoring(4, 2, [1, 2, 1, 2])) == (
         "CycleColoring(n=4, t=2, colors=(1, 2, 1, 2))"
     )
+    # a ThetaSet shows its parts, not its members: one text at every size
     assert repr(theta_cyclic(6)) == (
-        "ThetaSet(n=6, members=(2, 3, 4, 6), provenance='formula')"
+        "ThetaSet(n=6, parts=(range(2, 5), range(6, 7)), provenance='formula')"
+    )
+    assert repr(ThetaSet(9, (3, 5, 7, 9), "search")) == (
+        "ThetaSet(n=9, parts=(range(3, 10, 2),), provenance='search')"
     )
     assert repr(verify(CycleColoring(4, 2, (1, 1, 2, 2)), "interval")) == (
         "VerificationReport("
@@ -120,10 +135,13 @@ def test_repr():
 
 
 def test_field_order():
-    # repr lists the fields in order; positional construction follows it
+    # repr lists the fields in order, a ThetaSet its parts for its members;
+    # positional construction follows it
     for cls, names in FIELDS.items():
         value = BUILDS[cls.__name__]()
         shown = ", ".join(f"{name}={getattr(value, name)!r}" for name in names)
+        if cls is ThetaSet:
+            shown = shown.replace(f"members={value.members}", f"parts={value._parts}")
         assert repr(value) == f"{cls.__name__}({shown})"
         assert cls(*(getattr(value, name) for name in names)) == value
 
@@ -273,9 +291,12 @@ def test_unchecked_builds_round_trip():
     for value in (construct(9, 5), theta_cyclic(10)):
         assert pickle.loads(pickle.dumps(value)) == value
         assert copy.deepcopy(value) == value
-    # a copy is rebuilt by hand from the members, and still holds ranges
+    # a copy keeps n, the parts and provenance, so its pickle is small
     value = theta_cyclic(10**6)
+    assert len(pickle.dumps(value)) < 200
     for back in (pickle.loads(pickle.dumps(value)), copy.copy(value)):
         assert back == value
-        assert len(back._parts) <= 2
-        assert all(type(part) is range for part in back._parts)
+        assert (back.n, back._parts, back.provenance) == (
+            value.n, value._parts, value.provenance
+        )
+        assert back._members is None

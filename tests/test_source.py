@@ -80,9 +80,22 @@ def test_unchecked_feasible_sets_come_from_the_closed_forms():
     # ThetaSet._of_ranges checks none of its ranges, so only the closed
     # forms, whose ranges _split makes right, may call it
     assert _callers("_of_ranges") == {
+        ("characterization.py", "forbidden_set"),
         ("characterization.py", "theta_cyclic"),
         ("characterization.py", "theta_interval"),
     }
+
+
+def test_one_set_type():
+    # every feasible or forbidden set is a ThetaSet; no second set class
+    # with its own membership and comparison rules comes back
+    found = [
+        f"{path.relative_to(SRC)}:{number}"
+        for path in sorted(SRC.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if "RangeSet" in line
+    ]
+    assert found == []
 
 
 def test_records_set_fields_only_through_the_slot_setters():

@@ -16,9 +16,11 @@ from cyclic_chroma import (
     construct,
     contains,
     enumerate_colorings,
+    forbidden_set,
     theta_cyclic,
     theta_interval,
 )
+from cyclic_chroma.characterization import _runs
 
 
 def assert_passes_public_check(c):
@@ -94,6 +96,22 @@ def test_closed_form_sets_pass_the_public_check(theta):
         assert_set_passes_public_check(theta(n))
 
 
-def test_of_ranges_joins_its_ranges_and_skips_empty_ones():
-    built = ThetaSet._of_ranges(8, range(2, 6), range(5, 5), range(6, 9, 2))
+def test_of_ranges_keeps_its_runs_and_skips_empty_ones():
+    # its callers pass maximal runs, which it keeps as they are, and only
+    # their last range can be empty
+    built = ThetaSet._of_ranges(8, range(2, 7), range(8, 9))
+    assert built._parts == (range(2, 7), range(8, 9))
     assert built == ThetaSet(8, (2, 3, 4, 5, 6, 8), "formula")
+    assert ThetaSet._of_ranges(4, range(2, 5), range(6, 5, 2))._parts == (range(2, 5),)
+    assert ThetaSet._of_ranges(5, range(3, 3))._parts == ()
+
+
+@pytest.mark.parametrize("build", [theta_cyclic, theta_interval, forbidden_set])
+def test_closed_forms_hold_the_maximal_runs(build):
+    # the canonical split, computed in O(1): the runs _runs cuts the members
+    # into, with no empty part; theta_cyclic(8) holds 2..6 and 8
+    for n in range(3, 2001):
+        ts = build(n)
+        assert ts._parts == _runs(ts.members), n
+        assert all(ts._parts), n
+    assert theta_cyclic(8)._parts == (range(2, 7), range(8, 9))
