@@ -104,11 +104,13 @@ class ThetaSet(_Record, Set):
     A pickle or copy keeps n, the parts and provenance, checked in O(#parts).
 
     No comparison reads ``n`` or ``provenance``.  ``in`` maps a non-int
-    probe to the int it equals, then takes O(1) per part.  ``==`` between
-    ThetaSets compares parts; against another Set, ``==`` and ``<= < >= >``
-    compare sizes, which never overflow, then pass once over the smaller
-    side, stopping at its first member that the other side lacks.  ``hash``
-    is the frozenset's, and ``| & - ^`` return a plain ``set`` of ``members``.
+    probe to the int it equals, then takes O(1) per part.  ``== <= < >= >``
+    compare sizes, which never overflow, then walk both sides' parts once
+    against a ThetaSet, at any size, or pass once over the smaller side of
+    another Set, stopping at its first member that the other side lacks.
+    ``hash`` is the frozenset's, built on each call in O(|members|) and
+    refused with TypeError past MATERIALIZE_CAP members, and ``| & - ^``
+    return a plain ``set`` of ``members``.
     """
 
     __slots__ = ("n", "_parts", "provenance", "_members")
@@ -134,11 +136,10 @@ class ThetaSet(_Record, Set):
         """The closed-form set over parts, less an empty last one; checks nothing:
         its callers pass the maximal runs in [2, n] that _split makes."""
         s = object.__new__(cls)
-        set_n, set_parts, set_provenance, set_members = cls._setters
+        set_n, set_parts, set_provenance, _ = cls._setters
         set_n(s, n)
         set_parts(s, parts if parts[-1] else parts[:-1])
         set_provenance(s, PROVENANCE_FORMULA)
-        set_members(s, None)
         return s
 
     @classmethod
@@ -146,7 +147,7 @@ class ThetaSet(_Record, Set):
         """The set a pickle or copy rebuilds: n and provenance checked as by
         hand, parts as nonempty ascending ranges in [2, n] and maximal runs:
         a run of one member comes last, and no run goes on into the next."""
-        s = cls(n, (), provenance)
+        cls(n, (), provenance)  # refuses n and provenance as by hand
         ranges = type(parts) is tuple and all(
             type(p) is range and p and p.step > 0 for p in parts
         )
@@ -155,20 +156,22 @@ class ThetaSet(_Record, Set):
         )
         if not maximal or parts and not 2 <= parts[0][0] <= parts[-1][-1] <= n:
             raise ValueError(f"parts must be maximal runs in [2, {_show_int(n)}]")
-        set_parts, set_members = cls._setters[1::2]
+        s = object.__new__(cls)
+        set_n, set_parts, set_provenance, _ = cls._setters
+        set_n(s, n)
         set_parts(s, parts)
-        set_members(s, None)
+        set_provenance(s, provenance)
         return s
 
     @property
     def members(self) -> tuple[int, ...]:
-        if self._members is None:
-            size = self._size()
-            if size > MATERIALIZE_CAP:
-                shown = f"a set of {_show_int(size)} members (cap {MATERIALIZE_CAP})"
-                raise ValueError(f"refusing to materialize {shown}")
-            set_members = self._setters[3]
-            set_members(self, tuple(chain.from_iterable(self._parts)))
+        try:
+            return self._members
+        except AttributeError:  # unset until a set not built by hand reads it
+            pass
+        _check_size(self, "materialize", ValueError)
+        set_members = self._setters[3]
+        set_members(self, tuple(chain.from_iterable(self._parts)))
         return self._members
 
     def __contains__(self, t: object) -> bool:
@@ -192,27 +195,27 @@ class ThetaSet(_Record, Set):
         return bool(self._parts)
 
     def _compare(self, other: object, op, subset: bool):
-        """self op other for == <= < (subset) or >= > (superset)."""
+        """self op other for == <= < (subset) or >= > (superset): equal
+        sizes and a subset are equal sets."""
         if not isinstance(other, Set):
             return NotImplemented
-        size = other._size() if isinstance(other, ThetaSet) else len(other)
-        if not op(self._size(), size):
+        theta = isinstance(other, ThetaSet)
+        if not op(self._size(), other._size() if theta else len(other)):
             return False
         small, large = (self, other) if subset else (other, self)
+        if theta:
+            return _within(small._parts, large._parts)
         return all(map(large.__contains__, small))
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ThetaSet):
-            return self._parts == other._parts
-        return self._compare(other, operator.eq, True)
-
+    __eq__ = partialmethod(_compare, op=operator.eq, subset=True)
     __le__ = partialmethod(_compare, op=operator.le, subset=True)
     __lt__ = partialmethod(_compare, op=operator.lt, subset=True)
     __ge__ = partialmethod(_compare, op=operator.ge, subset=False)
     __gt__ = partialmethod(_compare, op=operator.gt, subset=False)
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.members))
+        _check_size(self, "hash", TypeError)  # as for a value that has no hash
+        return hash(frozenset(self))
 
     def _operate(self, other: object, op) -> set:
         return op(set(self.members), other)
@@ -240,6 +243,34 @@ class ThetaSet(_Record, Set):
 
     def __reduce__(self):
         return type(self)._of_parts, (self.n, self._parts, self.provenance)
+
+
+def _check_size(s: ThetaSet, verb: str, error: type[Exception]) -> None:
+    """Refuse to verb s with error when it holds more than MATERIALIZE_CAP members."""
+    size = s._size()
+    if size > MATERIALIZE_CAP:
+        shown = f"a set of {_show_int(size)} members (cap {MATERIALIZE_CAP})"
+        raise error(f"refusing to {verb} {shown}")
+
+
+def _within(small: tuple[range, ...], large: tuple[range, ...]) -> bool:
+    """Whether the parts small hold no member outside the parts large, in
+    O(#small + #large): a member x of small in a part q of large brings its
+    part's next members up to q's last when q's step divides their step;
+    otherwise the next one must lie past q."""
+    rest = iter(large)
+    q = range(0)
+    for p in small:
+        x, step = p[0], p.step
+        while x <= p[-1]:
+            while not q or q[-1] < x:
+                q = next(rest, None)
+                if q is None:
+                    return False
+            if x not in q or step % q.step and x + step <= min(p[-1], q[-1]):
+                return False
+            x += ((q[-1] - x) // step + 1) * step  # the first past q
+    return True
 
 
 def _show_range(r: range) -> str:

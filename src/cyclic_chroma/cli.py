@@ -13,6 +13,7 @@ diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
+import codecs
 import io
 import json
 import os
@@ -315,10 +316,6 @@ def decompose(src: str | None, as_json: bool) -> int:
 def main(argv: list[str] | None = None) -> int:
     """Interval-like edge colorings of simple cycles: closed formulas,
     canonical witnesses, verification, and an exhaustive-search oracle."""
-    for stream in (sys.stdout, sys.stderr):
-        # UTF-8 whatever the locale: an ASCII or C locale refuses "Θ" and "✓"
-        if isinstance(stream, io.TextIOWrapper):
-            stream.reconfigure(encoding="utf-8", errors=stream.errors)
     parser = argparse.ArgumentParser(
         prog="cyclic-chroma", description=main.__doc__, allow_abbrev=False
     )
@@ -369,6 +366,16 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub.add_argument("--format", dest="fmt", choices=["csv", "markdown"], default="csv")
     command(decompose, src=True)
+    # UTF-8 whatever the locale, which may refuse "Θ" and "✓"; a stream
+    # gets its own encoding back when main returns or exits
+    recoded = [
+        (stream, stream.encoding)
+        for stream in (sys.stdout, sys.stderr)
+        if isinstance(stream, io.TextIOWrapper)
+        and codecs.lookup(stream.encoding).name != "utf-8"
+    ]
+    for stream, _ in recoded:
+        stream.reconfigure(encoding="utf-8", errors=stream.errors)
     try:
         args = vars(parser.parse_args(argv))
         run, sub = args.pop("run"), args.pop("parser")
@@ -384,6 +391,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        for stream, encoding in recoded:
+            stream.reconfigure(encoding=encoding, errors=stream.errors)
 
 
 if __name__ == "__main__":

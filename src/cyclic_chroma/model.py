@@ -96,10 +96,12 @@ class _Record:
     one is no slot.  ``_setters`` holds each slot's own ``__set__``, in
     ``__slots__`` order, and is how the subclass's ``__init__`` sets them.
     Setting or deleting any attribute raises AttributeError, which says
-    "field" only for a name in ``_names``.  ``==`` holds between two records
-    of the same class whose fields are equal, ``hash`` is that of the tuple of
-    fields, ``repr`` names every field, and a pickle or copy is rebuilt through
-    ``__init__`` from the fields in order; a ThetaSet does these four as a set.
+    "field" only for a name in ``_names``.  By default ``==`` holds between
+    two records of the same class whose fields are equal, ``hash`` is that
+    of the tuple of fields, ``repr`` names every field, and a pickle or copy
+    is rebuilt through ``__init__`` from the fields in order.  A subclass may
+    replace any of these four, as ThetaSet replaces all of them to act as a
+    set; the frozen slots and ``_setters`` are what every record shares.
     """
 
     __slots__ = ()

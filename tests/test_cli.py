@@ -1,4 +1,5 @@
 import importlib.metadata
+import io
 import json
 import os
 import re
@@ -679,6 +680,22 @@ def test_usage_errors(runner, argv):
     assert result.stdout == ""
     assert result.stderr.startswith("usage: cyclic-chroma")
     assert "Traceback" not in result.stderr
+
+
+def test_main_gives_each_stream_its_encoding_back(monkeypatch):
+    # main writes UTF-8 to an ASCII stream, then leaves it ASCII, with its
+    # error handler, whether it returns or exits
+    out = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    err = io.TextIOWrapper(io.BytesIO(), encoding="ascii", errors="backslashreplace")
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    assert main(["theta", "6"]) == 0
+    with pytest.raises(SystemExit):
+        main(["theta"])
+    assert (out.encoding, out.errors) == ("ascii", "strict")
+    assert (err.encoding, err.errors) == ("ascii", "backslashreplace")
+    assert out.buffer.getvalue() == "Θ(C(6)) = {2,3,4,6}  w_cyc=2 W_cyc=6\n".encode()
+    assert err.buffer.getvalue().startswith(b"usage: cyclic-chroma theta")
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])

@@ -158,6 +158,37 @@ def test_a_theta_set_acts_as_the_frozenset_of_its_members(drawn, data):
             assert hash(ts) == hash(other), name
 
 
+def test_order_between_theta_sets_walks_their_parts():
+    # {4, 6, 8} spans both runs of {2, 3, 4, 6, 8, 10}
+    small = ThetaSet(10, (4, 6, 8), "search")
+    large = ThetaSet(10, (2, 3, 4, 6, 8, 10), "search")
+    assert large._parts == (range(2, 5), range(6, 11, 2))
+    assert small < large and large > small and not large <= small
+    assert not ThetaSet(10, (3, 5), "search") <= large
+    # theta_cyclic's shape past sys.maxsize: 2..s, then every second t to n
+    n = 10**20
+    s = n // 2 + 2
+    huge = ThetaSet._of_parts(n, (range(2, s + 1), range(s + 2, n + 1, 2)), "formula")
+    within = [range(4, s, 2), range(s - 2, n + 1, 2), range(2, 5), range(n, n + 1)]
+    for inside in within:
+        part = ThetaSet._of_parts(n, (inside,), "search")
+        assert part < huge and huge > part and part <= huge and huge >= part, inside
+    two = ThetaSet._of_parts(n, (range(2, 5), range(6, n + 1, 2)), "search")
+    assert two < huge and not huge <= two
+    for outside in [range(s - 1, n, 2), range(3, s + 2), range(s + 1, s + 2)]:
+        part = ThetaSet._of_parts(n, (outside,), "search")
+        assert not part <= huge and not huge >= part and not part < huge, outside
+    assert not forbidden_set(n) <= huge and not huge >= forbidden_set(n)
+
+
+def test_a_hash_builds_no_members_memo():
+    ts = theta_cyclic(1000)
+    assert hash(ts) == hash(frozenset(iter(ts)))
+    assert not hasattr(ts, "_members")
+    with pytest.raises(TypeError, match="refusing to hash a set of 1000001 members"):
+        hash(ThetaSet._of_parts(10**6 + 2, (range(2, 10**6 + 3),), "search"))
+
+
 class TestRangeSet:
     """ThetaSets of one range, as forbidden_set builds them, at every size."""
 
@@ -235,7 +266,7 @@ class TestRangeSet:
         )
         with pytest.raises(OverflowError):
             len(rs)
-        with pytest.raises(ValueError, match="refusing to materialize"):
+        with pytest.raises(TypeError, match="refusing to hash"):
             hash(rs)
 
     @pytest.mark.parametrize("n", [10**20, 10**20 + 1])
@@ -246,9 +277,10 @@ class TestRangeSet:
         assert not rs < {1} and not {1} > rs
         assert rs > set() and set() < rs
         assert rs >= {n - 1} and not rs >= {n - 1, n}
-        # sizes decide first, then a pass stops at the first member missing
+        # two ThetaSets compare from their parts, whatever their sizes
         gap = _gap(n)
         wider = self.one_range(range(gap.start, 2 * n, gap.step), 2 * n)
+        assert rs <= wider and rs < wider and wider >= rs and wider > rs
         assert not wider <= rs and not rs > wider and rs != wider
         assert rs == forbidden_set(n) and wider != forbidden_set(n)
         shifted = self.one_range(range(gap.start + 1, n, gap.step), n)

@@ -299,4 +299,4 @@ def test_unchecked_builds_round_trip():
         assert (back.n, back._parts, back.provenance) == (
             value.n, value._parts, value.provenance
         )
-        assert back._members is None
+        assert not hasattr(back, "_members")
